@@ -182,14 +182,15 @@ print(f"max abs diff vs solo runs, kill included: {worst:.2e} (bound 1e-10)")
 #    unservable in the thousands of slots.  The sparse access policy
 #    (access_policy="sparse", access_top_k=K) truncates addressing to
 #    the K best slots and updates only the written linkage rows, so the
-#    same serving stack handles N=1024+ (>= 5x dense at N=2048; see
-#    BENCH_sparse_access.json for the measured speedups and the
-#    accuracy deltas vs dense float64).
+#    same serving stack handles N=1024+ (perf/'s ``resident_sparse``
+#    workload times it; tests/test_sparse_access.py bounds the accuracy
+#    delta vs dense float64).
 # ---------------------------------------------------------------------------
 print("\n=== 6. Large-N sparse serving: N=1024, top-K access ===")
-from repro.serve import large_n_sparse_config  # noqa: E402
-
-sparse_config = large_n_sparse_config(memory_size=1024, access_top_k=64)
+sparse_config = HiMAConfig(
+    memory_size=1024, word_size=16, num_reads=1, num_tiles=8, hidden_size=32,
+    two_stage_sort=False, access_policy="sparse", access_top_k=64,
+)
 print(f"memory_size={sparse_config.memory_size}, "
       f"access_policy={sparse_config.access_policy!r}, "
       f"top_k={sparse_config.access_top_k}")
@@ -227,7 +228,7 @@ print(f"max abs diff vs solo sparse runs: {worst:.2e} (bound 1e-10)")
 #    attaches per-phase engine timers, and the flight recorder keeps
 #    each worker's last-K ticks for post-mortems.  All of it is pure
 #    timing and counting: traced trajectories are bitwise the untraced
-#    ones (priced < 3% throughput in benchmarks/bench_obs_smoke.py).
+#    ones (perf/ prices it per workload as obs.trace.overhead_frac).
 # ---------------------------------------------------------------------------
 print("\n=== 7. Observability: cross-process span tree, phase profile ===")
 from repro.obs import Tracer, render_span_tree  # noqa: E402

@@ -26,19 +26,16 @@ Quickstart::
 
 from repro.core.config import HiMAConfig
 from repro.core.perf_model import HiMAPerformanceModel
-from repro.core.engine import TiledEngine, gather_states, scatter_states
+from repro.core.engine import TiledEngine
 from repro.dnc import DNC, DNCConfig, DNCD, DNCDConfig
 from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig
-from repro.eval.runners import BatchedThroughput, measure_batched_throughput
 from repro.hw.area_model import AreaModel
 from repro.hw.power_model import PowerModel
 from repro.serve import (
     MicroBatcher,
-    ServeLoadResult,
     ServerMetrics,
     SessionServer,
     SessionStore,
-    measure_serve_load,
 )
 
 __version__ = "1.2.0"
@@ -47,22 +44,16 @@ __all__ = [
     "HiMAConfig",
     "HiMAPerformanceModel",
     "TiledEngine",
-    "gather_states",
-    "scatter_states",
     "DNC",
     "DNCConfig",
     "DNCD",
     "DNCDConfig",
     "NumpyDNC",
     "NumpyDNCConfig",
-    "BatchedThroughput",
-    "measure_batched_throughput",
     "MicroBatcher",
-    "ServeLoadResult",
     "ServerMetrics",
     "SessionServer",
     "SessionStore",
-    "measure_serve_load",
     "AreaModel",
     "PowerModel",
     "__version__",

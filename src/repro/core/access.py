@@ -201,19 +201,17 @@ class DenseAccess(AccessPolicy):
         return alloc
 
     def write_phase(self, engine, state, write_w, interface, log, b):
-        cfg = engine.config
-        nt = cfg.num_tiles
+        nt = engine.config.num_tiles
         ct = engine.memory_map.ct_node
-        # Traffic follows the blockwise dataflow exactly as before; the
-        # arithmetic runs through the fused single-sweep kernel by
-        # default (bitwise identical to the three-pass path, which the
-        # ``fused_write_linkage=False`` escape hatch preserves verbatim).
+        # Traffic follows the blockwise dataflow; the arithmetic runs
+        # through the backend's fused single-sweep kernel (bitwise the
+        # three-pass ``repro.dnc.numpy_ref`` oracle on ``reference``).
         engine._log_linkage_traffic(b)
         # Global sum of w_w: psum ring ending at the CT.
         for hop in range(nt - 1):
             log.add("precedence", hop, hop + 1, b)
         log.add("precedence", nt - 1, ct, b)
-        if cfg.fused_write_linkage and engine._fused_active is not None:
+        if engine._fused_active is not None:
             # Partial-occupancy dense masked step: advance only the
             # active slots, in place on the resident arrays — the
             # inactive N^2 rows are neither read nor written.
@@ -223,18 +221,11 @@ class DenseAccess(AccessPolicy):
                 active=engine._fused_active, scratch=engine._masked_scratch,
             )
             return state.memory, state.linkage, state.precedence
-        if cfg.fused_write_linkage:
-            return engine.backend.fused_erase_write_linkage(
-                state.memory, state.linkage, state.precedence,
-                write_w, interface.erase, interface.write_vector,
-                workspace=engine._active_workspace,
-            )
-        memory = K.erase_write(
-            state.memory, write_w, interface.erase, interface.write_vector
+        return engine.backend.fused_erase_write_linkage(
+            state.memory, state.linkage, state.precedence,
+            write_w, interface.erase, interface.write_vector,
+            workspace=engine._active_workspace,
         )
-        linkage = engine._linkage_update(state, write_w)
-        precedence = K.precedence_update(state.precedence, write_w)
-        return memory, linkage, precedence
 
     def read_content(self, engine, memory, interface, log, b):
         nt = engine.config.num_tiles

@@ -92,13 +92,6 @@ class KernelBackend:
     #: Dtype-policy names this backend can compute under.
     supported_dtypes: Tuple[str, ...] = ("float64", "float32")
 
-    #: PhaseTimer label the engine attributes read-phase time to.
-    #: ``"read"`` is the classic unfused forward/backward + read path;
-    #: backends whose read kernels fuse the linkage sweeps report
-    #: ``"read_phase"`` so profiles distinguish the two (both labels
-    #: live in :data:`repro.obs.profiler.PHASES`).
-    read_phase_label = "read"
-
     #: How many times this backend's read phase streams the linkage
     #: support: 2 for the separate forward + backward matvecs, 1 for a
     #: fused single-pass sweep.  Feeds the
@@ -387,6 +380,8 @@ class TunedBackend(ReferenceBackend):
     """
 
     name = "tuned"
+    #: The fused forward/backward sweep streams the linkage once.
+    read_linkage_passes = 1
 
     #: Target bytes per streamed linkage panel (input panel, output
     #: panel, and per-panel temporary each get roughly this much, so the
@@ -399,15 +394,8 @@ class TunedBackend(ReferenceBackend):
     #: panel/scratch bookkeeping is pure overhead there.
     min_blocked_n = 128
 
-    def __init__(self, config=None):
+    def __init__(self):
         self._scratch: Dict[Tuple, np.ndarray] = {}
-        #: The fused read-phase sweep honours the config's
-        #: ``read_phase_fused`` A/B flag; a bare ``TunedBackend()``
-        #: (tests, third-party construction) defaults to fused.
-        self.read_fused = bool(getattr(config, "read_phase_fused", True))
-        if self.read_fused:
-            self.read_phase_label = "read_phase"
-            self.read_linkage_passes = 1
 
     def _buf(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         key = (tag, shape, np.dtype(dtype).str)
@@ -681,13 +669,12 @@ class TunedBackend(ReferenceBackend):
 
         Delegates to the reference pair below :attr:`min_blocked_n`
         (both matmuls already fit in cache), under ``active=`` (the
-        masked base path gathers the sub-batch and re-enters here), for
-        non-contiguous operands, and under ``read_phase_fused=False``.
+        masked base path gathers the sub-batch and re-enters here), and
+        for non-contiguous operands.
         """
         n = linkage.shape[-1]
         if (
-            not self.read_fused
-            or active is not None
+            active is not None
             or n < self.min_blocked_n
             or not (linkage.flags.c_contiguous and read_w.flags.c_contiguous)
         ):
@@ -729,7 +716,7 @@ class TunedBackend(ReferenceBackend):
         temporaries change: two resident buffers instead of five fresh
         ``(.., R, N)`` allocations per step.
         """
-        if not self.read_fused or active is not None:
+        if active is not None:
             return super().read_weight_mix(
                 content_w, fwd, bwd, read_modes, active=active
             )
@@ -758,7 +745,7 @@ def register_backend(name: str, factory: BackendFactory) -> None:
 
 
 register_backend("reference", lambda config: ReferenceBackend())
-register_backend("tuned", lambda config: TunedBackend(config))
+register_backend("tuned", lambda config: TunedBackend())
 
 _torch_probe_done = False
 

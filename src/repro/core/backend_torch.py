@@ -61,15 +61,9 @@ class TorchBackend(KernelBackend):
         # the reduced-precision compute dtypes).
         self._storage = config.np_dtype
         self._storage_torch = _COMPUTE_DTYPES[self._storage.name]
-        # Read phase in torch (one seam crossing covers forward/backward,
-        # mix, and gather — the whole tick now computes in the backend's
-        # dtype).  ``read_phase_fused=False`` falls back to the numpy
-        # reference read path for A/B runs.  The linkage still feeds two
-        # matmuls here (torch owns the blocking), so the two-pass bytes
-        # model stands.
-        self.read_fused = bool(getattr(config, "read_phase_fused", True))
-        if self.read_fused:
-            self.read_phase_label = "read_phase"
+        # The read phase computes in torch too (forward/backward, mix,
+        # gather).  The linkage still feeds two matmuls (torch owns the
+        # blocking), so the base class's two-pass bytes model stands.
 
     # -- seam crossings ----------------------------------------------------
     def _to(self, array: np.ndarray) -> torch.Tensor:
@@ -124,7 +118,7 @@ class TorchBackend(KernelBackend):
     # problem, same as the sparse write phase.
 
     def forward_backward(self, linkage, read_w, active=None):
-        if not self.read_fused or active is not None:
+        if active is not None:
             return super().forward_backward(linkage, read_w, active=active)
         link_t = self._to(linkage)
         rw_t = self._to(read_w)
@@ -133,7 +127,7 @@ class TorchBackend(KernelBackend):
         return self._from(fwd), self._from(bwd)
 
     def read_weight_mix(self, content_w, fwd, bwd, read_modes, active=None):
-        if not self.read_fused or active is not None:
+        if active is not None:
             return super().read_weight_mix(
                 content_w, fwd, bwd, read_modes, active=active
             )
@@ -146,7 +140,7 @@ class TorchBackend(KernelBackend):
         return self._from(mixed)
 
     def read_vectors(self, memory, read_w, active=None):
-        if not self.read_fused or active is not None:
+        if active is not None:
             return super().read_vectors(memory, read_w, active=active)
         reads = torch.matmul(self._to(read_w), self._to(memory))
         return self._from(reads)

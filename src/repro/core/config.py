@@ -74,23 +74,6 @@ class HiMAConfig:
     #: through the write phase).  Must be 0 (unset) under dense access.
     access_top_k: int = 0
 
-    #: Run the write phase (erase+write, linkage, precedence) through the
-    #: fused single-sweep kernel
-    #: :func:`repro.core.kernels.fused_erase_write_linkage` instead of
-    #: three independent passes.  Bitwise identical either way (the fused
-    #: kernel replicates the reference ufunc order exactly); the flag
-    #: exists for A/B benchmarking and as an escape hatch.
-    fused_write_linkage: bool = True
-
-    #: Let the backend fuse the read phase's forward/backward linkage
-    #: sweeps into one blocked pass (and route the read-weight mix
-    #: through backend scratch).  Only backends with a fused read
-    #: kernel honour it (``tuned``, ``torch``); the reference path is
-    #: unaffected.  Like ``fused_write_linkage``, the flag exists for
-    #: A/B benchmarking (the ``read_fused``/``read_unfused`` variants
-    #: of ``BENCH_batched_throughput.json``) and as an escape hatch.
-    read_phase_fused: bool = True
-
     #: Occupancy fraction at which a partially-masked step
     #: (:meth:`~repro.core.engine.TiledEngine.step` with ``active=``
     #: covering some but not all slots) switches from the compact

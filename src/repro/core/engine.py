@@ -26,7 +26,7 @@ count scales by ``B``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,31 +164,6 @@ class TrafficLog:
 def _lead_batch(lead: Tuple[int, ...]) -> int:
     """Word-count multiplier for a leading batch shape (1 if unbatched)."""
     return int(lead[0]) if lead else 1
-
-
-def gather_states(states: Sequence[NumpyDNCState]) -> NumpyDNCState:
-    """Pack ``K`` independent unbatched session states into one batched state.
-
-    The serving layer's hot-path primitive: heterogeneous sessions (each
-    mid-way through its own sequence) stack along a leading batch axis so
-    one :meth:`TiledEngine.step` advances all of them.  Element ``i`` of
-    the result is bitwise ``states[i]``; :func:`scatter_states` is the
-    exact inverse.  Raises :class:`~repro.errors.ConfigError` on an empty
-    sequence, already-batched inputs, or mismatched shapes/dtypes
-    (sessions from engines with different configs cannot share a batch).
-    """
-    return NumpyDNCState.stack(states)
-
-
-def scatter_states(batched: NumpyDNCState) -> List[NumpyDNCState]:
-    """Split a batched state back into independent unbatched states.
-
-    The exact inverse of :func:`gather_states`:
-    ``scatter_states(gather_states(states))`` reproduces ``states``
-    bitwise, for any dtype.  Each returned state owns contiguous copies
-    of its rows, so per-session states can outlive the batched buffers.
-    """
-    return batched.unstack()
 
 
 class TiledEngine:
@@ -391,16 +366,14 @@ class TiledEngine:
             # workspace — its sub-batch shape varies with the active
             # count, which would accumulate one retained buffer set per
             # distinct occupancy.
-            use_workspace = self.config.fused_write_linkage
             old = (state.memory, state.linkage, state.precedence)
-            if use_workspace:
-                self._active_workspace = self._fused_workspace
+            self._active_workspace = self._fused_workspace
             try:
                 y, new_state = step_fn(x, state)
             finally:
                 self._active_workspace = None
             state.assign_from(new_state)
-            if use_workspace and not self.config.distributed:
+            if not self.config.distributed:
                 self._fused_workspace.recycle(*old)
             return y, state
         prof = self.profiler
@@ -438,24 +411,14 @@ class TiledEngine:
         :attr:`last_state_bytes_copied` cost of one write per active
         row of the non-resident fields (the N^2 fields never move).
 
-        With ``fused_write_linkage=False`` the three-pass write phase
-        has no masked form, so it computes all ``B`` rows and the three
-        big fields join the scatter — the escape hatch stays available
-        at the cost of the extra write-phase compute.
-
         Sparse access (``access_policy="sparse"``) routes *every* masked
         step here, including full occupancy: its write phase
         (:func:`repro.core.kernels.sparse_erase_write_linkage_inplace`)
-        is masked-in-place by construction, so ``_fused_active`` is set
-        regardless of the ``fused_write_linkage`` flag.
+        is masked-in-place by construction.
         """
         b = state.batch_size
         self._traffic_words_scale = int(idx.size)
-        self._fused_active = (
-            idx
-            if (self.config.fused_write_linkage or self.access.is_sparse)
-            else None
-        )
+        self._fused_active = idx
         try:
             y, new_state = self._step_dnc(x, state)
         finally:
@@ -527,8 +490,7 @@ class TiledEngine:
         # buffers differ.  Public step() callers keep fresh outputs:
         # they may retain states arbitrarily (checkpoints, arenas).
         use_workspace = (
-            self.config.fused_write_linkage
-            and not self.config.distributed
+            not self.config.distributed
             and self.config.access_policy == "dense"
         )
         try:
@@ -636,12 +598,7 @@ class TiledEngine:
         # --- Memory read: local partials + psum reduction at the CT. ------
         read_vecs = access.read_vectors(self, memory, read_w, log, b)
         if prof is not None:
-            # Fused-read backends report under "read_phase" so profiles
-            # distinguish the single-pass sweep from the classic path.
-            tp = prof.lap(
-                self.backend.read_phase_label, tp,
-                access.bytes_touched("read", self, b),
-            )
+            tp = prof.lap("read", tp, access.bytes_touched("read", self, b))
 
         y = self._output(lstm_h, read_vecs)
         new_state = NumpyDNCState(
@@ -657,9 +614,9 @@ class TiledEngine:
     def _log_linkage_traffic(self, b: int) -> None:
         """Blockwise segment-distribution traffic for the linkage update.
 
-        Traffic follows the submatrix grid exactly whichever arithmetic
-        path (fused or three-pass) computes the update — the dataflow is
-        a property of the partition, not of the kernel fusion.
+        Traffic follows the submatrix grid exactly whichever backend
+        kernel computes the update — the dataflow is a property of the
+        partition, not of the kernel fusion.
         """
         cfg = self.config
         mmap = self.memory_map
@@ -673,33 +630,13 @@ class TiledEngine:
             for owner in mmap.row_segment_owners(cols):
                 log.add("linkage", owner, t, 2 * b * mmap.rows_per_tile)
 
-    def _linkage_update(
-        self, state: NumpyDNCState, write_w: np.ndarray
-    ) -> np.ndarray:
-        """Three-pass linkage arithmetic (``fused_write_linkage=False``).
-
-        The arithmetic — which is cellwise and therefore identical
-        however the matrix is cut — runs as one contiguous in-place pass
-        (under batching the blockwise form costs Nt strided
-        ``(B, nr, nc)`` updates and dominates the step).
-        """
-        n = self.config.memory_size
-        w_rows = write_w[..., :, None]
-        # Same association as the reference kernel ((1 - w_i) - w_j) so the
-        # decay stays bitwise identical; one full-size allocation total.
-        linkage = np.subtract(1.0 - w_rows, write_w[..., None, :])
-        linkage *= state.linkage
-        linkage += w_rows * state.precedence[..., None, :]
-        linkage[..., np.arange(n), np.arange(n)] = 0.0
-        return linkage
-
     def _forward_backward(
         self, linkage: np.ndarray, prev_read_w: np.ndarray, log: TrafficLog
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``f = L w_r`` / ``b = L^T w_r`` with blockwise psum traffic.
 
-        Like :meth:`_linkage_update`, traffic is logged per linkage block
-        while the compute dispatches through the backend seam (reference:
+        Like :meth:`_log_linkage_traffic`, traffic is logged per linkage
+        block while the compute dispatches through the backend seam (reference:
         one stacked matmul pair; tuned: a fused single-pass panel sweep).
         The NoC events stay identical whichever kernel computes — the
         dataflow is a property of the partition, not of the kernel
@@ -832,33 +769,22 @@ class TiledEngine:
             content_w, alloc,
             gate(interface.write_gate), gate(interface.allocation_gate),
         )
-        if cfg.fused_write_linkage:
-            local_mem_in, local_link_in, local_prec_in = (
-                local_mem, local_link_prev, local_prec_prev,
-            )
-            if self._active_workspace is not None:
-                # De-alias the view-sharded operands (see docstring).
-                local_mem_in = self._dncd_stage("mem_in", local_mem)
-                local_link_in = self._dncd_stage("link_in", local_link_prev)
-                local_prec_in = self._dncd_stage("prec_in", local_prec_prev)
-            local_new_mem, local_link, local_prec = (
-                self.backend.fused_erase_write_linkage
-            )(
+        local_mem_in, local_link_in, local_prec_in = (
+            local_mem, local_link_prev, local_prec_prev,
+        )
+        if self._active_workspace is not None:
+            # De-alias the view-sharded operands (see docstring).
+            local_mem_in = self._dncd_stage("mem_in", local_mem)
+            local_link_in = self._dncd_stage("link_in", local_link_prev)
+            local_prec_in = self._dncd_stage("prec_in", local_prec_prev)
+        local_new_mem, local_link, local_prec = (
+            self.backend.fused_erase_write_linkage(
                 local_mem_in, local_link_in, local_prec_in, local_write_w,
                 interface.erase[..., None, :],
                 interface.write_vector[..., None, :],
                 workspace=self._active_workspace,
             )
-        else:
-            local_new_mem = K.erase_write(
-                local_mem, local_write_w,
-                interface.erase[..., None, :],
-                interface.write_vector[..., None, :],
-            )
-            local_link = K.linkage_update(
-                local_link_prev, local_write_w, local_prec_prev
-            )
-            local_prec = K.precedence_update(local_prec_prev, local_write_w)
+        )
 
         local_rscores = self.backend.stacked_read_scores(
             local_new_mem, interface.read_keys
@@ -882,7 +808,7 @@ class TiledEngine:
             log.add("read_vector_collect", t, ct, b * r * w)
 
         y = self._output(lstm_h, read_vecs)
-        if self._active_workspace is not None and cfg.fused_write_linkage:
+        if self._active_workspace is not None:
             # Resident scatter target: the state's linkage storage under
             # workspace-backed masked stepping, overwritten in place
             # (its previous blocks were staged above).
@@ -1031,6 +957,4 @@ __all__ = [
     "TiledEngine",
     "TrafficLog",
     "TrafficEvent",
-    "gather_states",
-    "scatter_states",
 ]

@@ -11,8 +11,6 @@ from repro.eval.runners import (
     ExperimentResult,
     EXPERIMENTS,
     register,
-    BatchedThroughput,
-    measure_batched_throughput,
 )
 from repro.eval import table1, fig4, fig5, fig6, fig7, fig10, fig11, fig12
 
@@ -20,8 +18,6 @@ __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
     "register",
-    "BatchedThroughput",
-    "measure_batched_throughput",
     "table1",
     "fig4",
     "fig5",

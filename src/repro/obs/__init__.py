@@ -27,12 +27,13 @@ Three cooperating layers (see ISSUE 8 / ROADMAP items 4–5):
   was doing.
 
 Everything is dependency-free, off by default, and bounded: tracing and
-profiling cost one ``None`` check per hook when disabled, and <3%
-end-to-end when enabled (asserted in ``benchmarks/bench_obs_smoke.py``).
+profiling cost one ``None`` check per hook when disabled; the enabled
+price is measured per workload by ``perf/`` (``obs.trace.overhead_frac``,
+``obs.profiler.overhead_frac``).
 """
 
 from repro.obs.metrics import MetricsRegistry, validate_metrics_json
-from repro.obs.profiler import PHASES, PhaseTimer, engine_phases
+from repro.obs.profiler import PHASES, PhaseTimer
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import (
     SPAN_KEYS,
@@ -50,7 +51,6 @@ __all__ = [
     "SpanContext",
     "Tracer",
     "PhaseTimer",
-    "engine_phases",
     "MetricsRegistry",
     "FlightRecorder",
     "render_span_tree",

@@ -13,10 +13,9 @@ phase with :meth:`PhaseTimer.lap`:
         tp = prof.lap("content_addressing", tp, nbytes)
 
 so the disabled path costs one attribute load and a ``None`` check per
-phase — the <3% tracing/profiling overhead floor in
-``benchmarks/bench_obs_smoke.py`` holds the enabled path to near-zero
-too.  Each lap attributes the elapsed wall time (one
-``time.perf_counter`` call) plus an estimated bytes-touched figure
+phase (``perf/`` reports the enabled path's price per workload as
+``obs.profiler.overhead_frac``).  Each lap attributes the elapsed wall
+time (one ``time.perf_counter`` call) plus an estimated bytes-touched figure
 (:meth:`repro.core.access.AccessPolicy.bytes_touched`) to its phase.
 
 Phase stats are mergeable across engines/workers (`merge`), serialize
@@ -33,33 +32,16 @@ from typing import Dict, Mapping, Optional
 #: The named phases the engine step attributes time to, in execution
 #: order.  ``gather_scatter`` covers masked-step state staging (compact
 #: gather/scatter and workspace scatter); the rest are the DNC phase
-#: sequence of ``TiledEngine._step_dnc``.  Exactly one of ``read`` /
-#: ``read_phase`` fires per step — which one is the backend's
-#: ``read_phase_label`` (``read`` for the classic forward/backward +
-#: gather path, ``read_phase`` for backends with a fused read kernel);
-#: use :func:`engine_phases` for the label set one engine emits.
+#: sequence of ``TiledEngine._step_dnc``.
 PHASES = (
     "controller",
     "content_addressing",
     "sort_allocation",
     "erase_write_linkage",
     "read",
-    "read_phase",
     "output",
     "gather_scatter",
 )
-
-
-def engine_phases(read_label: str = "read"):
-    """The phase labels an engine with the given read label emits.
-
-    ``read_label`` is the backend's ``read_phase_label``; the result is
-    :data:`PHASES` minus the unused read label, in order — the expected
-    key/span set for that engine's profiles and ``engine.phase:*``
-    spans.
-    """
-    drop = {"read", "read_phase"} - {read_label}
-    return tuple(p for p in PHASES if p not in drop)
 
 StatDict = Dict[str, Dict[str, float]]
 

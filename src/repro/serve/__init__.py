@@ -29,8 +29,9 @@ an awaitable per-request asyncio API.
 
 :mod:`repro.serve.loadgen` generates deterministic open-loop traffic —
 uniform or Zipf-tenant-skewed (:func:`generate_zipf_scripts`, the
-hot-shard mix) — and measures served throughput for
-``BENCH_serve_load.json`` and ``BENCH_shard_scaling.json``.
+hot-shard mix) — and replays it against any of the front doors
+(:func:`run_open_loop`, :func:`run_rolling_restart`).  Timing the stack
+is ``perf/``'s job (``python3 perf/run.py``).
 
 Quickstart::
 
@@ -52,25 +53,12 @@ from repro.serve.batcher import MicroBatcher, StepRequest
 from repro.serve.cluster import ShardedServer
 from repro.serve.frontend import AsyncFrontend
 from repro.serve.loadgen import (
-    ProcServeResult,
-    ServeLoadResult,
     SessionScript,
-    ShardScalingResult,
     generate_scripts,
     generate_zipf_scripts,
-    large_n_sparse_config,
-    measure_proc_serve,
-    measure_serve_ab,
-    measure_serve_backend_ab,
-    measure_serve_load,
-    measure_serve_memory_sweep,
-    measure_serve_tracing_ab,
-    measure_shard_scaling,
     run_open_loop,
     run_rolling_restart,
     tenant_of,
-    timed_call,
-    timed_reps,
 )
 from repro.serve.metrics import ServerMetrics
 from repro.serve.proc import ProcCluster, ProcWorker
@@ -94,25 +82,12 @@ __all__ = [
     "StepRequest",
     "ShardedServer",
     "AsyncFrontend",
-    "ProcServeResult",
-    "ServeLoadResult",
     "SessionScript",
-    "ShardScalingResult",
     "generate_scripts",
     "generate_zipf_scripts",
-    "measure_proc_serve",
-    "large_n_sparse_config",
-    "measure_serve_ab",
-    "measure_serve_backend_ab",
-    "measure_serve_load",
-    "measure_serve_memory_sweep",
-    "measure_serve_tracing_ab",
-    "measure_shard_scaling",
     "run_open_loop",
     "run_rolling_restart",
     "tenant_of",
-    "timed_call",
-    "timed_reps",
     "ServerMetrics",
     "ProcCluster",
     "ProcWorker",

@@ -16,10 +16,6 @@ copied exactly twice in its lifetime:
 * **leave/drain** — one slot read (:meth:`read_slot`), which is also
   the checkpoint path.
 
-``gather_states`` / ``scatter_states`` survive as the serving layer's
-checkpoint/fallback path (``SessionServer(state_arena=False)``), not
-its hot path.
-
 Slot lifetime: a slot freed by :meth:`release` returns to the free list
 and is reused by the next :meth:`bind` (lowest-numbered free slot
 first, so occupancy stays dense at the front of the arena and the
@@ -96,8 +92,7 @@ class StateArena:
 
         Order preservation matters for numerics: the engine's compact
         masked path gathers rows in this order, so dispatch order — not
-        slot numbering — determines batch row order, exactly like the
-        gather/scatter fallback path.
+        slot numbering — determines batch row order.
         """
         return np.fromiter(
             (self.slot_of(sid) for sid in session_ids),

@@ -71,14 +71,8 @@ class ShardedServer:
     ``parallel=True`` drives the shards' ticks from a thread pool.
     Shards share no state, so the results are bit-identical to
     sequential ticking — the threads only overlap the engines' numpy
-    work on separate cores.  The pool defaults to
-    ``min(num_shards, cpu_count)`` workers; pass ``parallel_workers``
-    to force a specific width (``parallel_workers=num_shards`` is the
-    thread-per-shard topology — every shard gets its own execution
-    context regardless of the box, the configuration a threaded serving
-    deployment actually runs and the apples-to-apples baseline for the
-    process-cluster comparison in
-    :func:`~repro.serve.loadgen.measure_proc_serve`).
+    work on separate cores.  The pool holds
+    ``min(num_shards, cpu_count)`` workers.
     """
 
     def __init__(
@@ -92,20 +86,13 @@ class ShardedServer:
         queue_capacity: int = 1024,
         session_capacity: int = 64,
         session_ttl_ticks: Optional[int] = None,
-        state_arena: bool = True,
         placement: Optional[PlacementPolicy] = None,
         rebalance: Optional[RebalancePolicy] = None,
         parallel: bool = True,
-        parallel_workers: Optional[int] = None,
         admission_spill: bool = False,
         tracer: Optional[Tracer] = None,
         profile: bool = False,
     ):
-        if parallel_workers is not None and parallel_workers < 1:
-            raise ConfigError(
-                f"parallel_workers must be >= 1 or None, got "
-                f"{parallel_workers}"
-            )
         if engines is None:
             if engine_factory is None or num_shards is None:
                 raise ConfigError(
@@ -133,7 +120,6 @@ class ShardedServer:
                 queue_capacity=queue_capacity,
                 session_capacity=session_capacity,
                 session_ttl_ticks=session_ttl_ticks,
-                state_arena=state_arena,
                 metrics=ServerMetrics(),
                 tracer=tracer,
                 profiler=PhaseTimer() if profile else None,
@@ -143,7 +129,6 @@ class ShardedServer:
         self.placement = placement if placement is not None else LeastLoadedPlacement()
         self.rebalance = rebalance
         self.parallel = parallel
-        self.parallel_workers = parallel_workers
         #: When the placed shard refuses an open, try the remaining
         #: shards in next-best order before giving up.  Off by default —
         #: strict placement (a consistent-hash tier relies on sessions
@@ -351,11 +336,7 @@ class ShardedServer:
         if self.parallel and len(self.shards) > 1:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=(
-                        self.parallel_workers
-                        if self.parallel_workers is not None
-                        else min(len(self.shards), os.cpu_count() or 1)
-                    ),
+                    max_workers=min(len(self.shards), os.cpu_count() or 1),
                     thread_name_prefix="engine-shard",
                 )
             per_shard = list(

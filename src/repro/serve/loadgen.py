@@ -1,4 +1,4 @@
-"""Synthetic open-loop load for the session server, plus its measurement.
+"""Synthetic open-loop load for the session server.
 
 The generator produces deterministic "Poisson-ish" traffic: session
 arrival gaps and lengths are drawn from exponential/geometric
@@ -12,90 +12,25 @@ patterns.  Two workload styles mix the per-step inputs:
 * ``"recall"`` — an associative-recall-shaped session: alternating
   sparse key vectors and dense value vectors.
 
-:func:`measure_serve_load` is the benchmark core: it drives the same
-workload through the micro-batching :class:`~repro.serve.server.SessionServer`
-and through a serve-one-session-at-a-time baseline, checks the two are
-numerically identical, and returns a
-:class:`ServeLoadResult` whose JSON form is the
-``BENCH_serve_load.json`` contract registered in
-:mod:`repro.eval.bench_schema`.
+:func:`run_open_loop` replays the scripts against any server object in
+the stack; :func:`run_rolling_restart` does the same while SIGKILLing
+:class:`~repro.serve.proc.ProcCluster` workers mid-stream.  Timing the
+stack is ``perf/``'s job (``python3 perf/run.py``), not this module's.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.eval.bench_schema import (
-    PROC_ENTRY_KEYS,
-    SERVE_ENTRY_KEYS,
-    SHARD_ENTRY_KEYS,
-)
 from repro.serve.batcher import StepRequest
-from repro.serve.cluster import ShardedServer
 from repro.serve.metrics import tenant_of
-from repro.serve.server import SessionServer
 from repro.utils.rng import SeedLike, new_rng
 
 WORKLOAD_KINDS = ("copy", "recall")
-
-
-def timed_call(fn: Callable[[], object]) -> Tuple[float, object]:
-    """Run ``fn()`` under one wall-clock measurement.
-
-    Returns ``(elapsed_seconds, payload)`` — the building block
-    :func:`timed_reps` runners use when the whole call *is* the critical
-    section.
-    """
-    start = time.perf_counter()
-    payload = fn()
-    return time.perf_counter() - start, payload
-
-
-def timed_reps(
-    runners: Dict[str, Callable[[], Tuple[float, object]]],
-    repeats: int,
-    cleanup: Optional[Callable[[], object]] = None,
-) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Best-of-``repeats`` interleaved timing rounds over named runners.
-
-    Every runner runs once per round and reports its own
-    ``(elapsed_seconds, payload)`` — self-timing lets a runner keep
-    setup/teardown (server construction, worker-process spawns) out of
-    its critical section; wrap the critical section in
-    :func:`timed_call` when the whole call should be timed.  Rounds are
-    interleaved and the visit order is re-shuffled every round from a
-    fixed seed: on a busy box, background load drifts over seconds, and
-    timing one runner as a block — or visiting runners in any *fixed*
-    alternation — lets that drift (and allocator/cache warm-up)
-    masquerade as a difference between runners.  ``cleanup`` runs after
-    every timed call, outside its measurement (e.g. clearing engine
-    traffic counters).
-
-    Returns ``(best, first)``: the minimum elapsed seconds per runner,
-    and each runner's round-0 payload — the measured workloads are
-    deterministic, so round 0's results serve for correctness checks
-    and metrics.
-    """
-    names = list(runners)
-    best: Dict[str, float] = {name: float("inf") for name in names}
-    first: Dict[str, object] = {}
-    order_rng = np.random.default_rng(0x5EED)
-    for round_index in range(max(1, repeats)):
-        order = list(names)
-        order_rng.shuffle(order)
-        for name in order:
-            elapsed, payload = runners[name]()
-            if cleanup is not None:
-                cleanup()
-            best[name] = min(best[name], float(elapsed))
-            if round_index == 0:
-                first[name] = payload
-    return best, first
 
 
 @dataclass(frozen=True)
@@ -313,1145 +248,12 @@ def run_rolling_restart(
     raise ConfigError(f"load did not drain within {max_ticks} ticks")
 
 
-# ---------------------------------------------------------------------------
-# Benchmark measurement
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ServeLoadResult:
-    """Measured micro-batched serving vs one-session-at-a-time serving.
-
-    ``requests_per_sec`` counts completed step requests per wall second;
-    both paths process the identical scripted workload.  Field names
-    match :data:`repro.eval.bench_schema.SERVE_ENTRY_KEYS` exactly —
-    :meth:`to_json` is generated from that single source of truth.
-    """
-
-    concurrent_sessions: int
-    steps_per_session: int
-    max_batch: int
-    max_wait_ticks: int
-    requests_per_sec: float
-    sequential_requests_per_sec: float
-    speedup_vs_sequential: float
-    microbatch_max_abs_diff: float
-    p50_wait_ticks: float
-    p95_wait_ticks: float
-    p99_wait_ticks: float
-    mean_batch_occupancy: float
-    admission_rejects: int
-    evictions: int
-    dtype: str
-    memory_size: int
-    #: True when the run used the resident :class:`~repro.serve.arena.StateArena`
-    #: hot path, False for the gather/scatter fallback.
-    state_arena: bool
-    #: Total session-state bytes copied during the served run (joins plus
-    #: any gather/scatter or partial-mask traffic) — the quantity the
-    #: arena collapses to one write per join.
-    state_bytes_copied: int
-    #: True when the run served with full observability attached (request
-    #: tracing + per-phase engine profiling); the ``tracing_on`` /
-    #: ``tracing_off`` artifact pair prices that overhead.
-    tracing: bool = False
-    #: Kernel backend the serving engine stepped with
-    #: (:mod:`repro.core.backend`); the ``backend_*`` artifact pair
-    #: prices swapping the hot-path kernels under the full stack.
-    backend: str = "reference"
-
-    def to_json(self) -> Dict[str, object]:
-        """One ``BENCH_serve_load.json`` artifact entry."""
-        return {key: getattr(self, key) for key in SERVE_ENTRY_KEYS}
-
-
-def measure_serve_load(
-    config=None,
-    num_sessions: int = 16,
-    steps_per_session: int = 8,
-    max_batch: int = 16,
-    max_wait_ticks: int = 1,
-    repeats: int = 3,
-    rng: SeedLike = 0,
-    state_arena: bool = True,
-) -> ServeLoadResult:
-    """Time micro-batched serving against the one-at-a-time baseline.
-
-    All ``num_sessions`` sessions are concurrent (arrival tick 0) with
-    equal lengths, so the comparison is the clean serving analogue of
-    :func:`repro.eval.runners.measure_batched_throughput`: the baseline
-    steps each session to completion alone through the unbatched engine;
-    the served path schedules them through the micro-batcher.  The best
-    (minimum) wall time over ``repeats`` rounds scores each path, and the
-    served outputs are checked element-wise against the baseline's.
-
-    ``state_arena`` selects the server's state path: the resident
-    slot-pinned arena (default) or the PR 3 gather/scatter fallback —
-    measuring both on the identical workload is how the serve-load
-    benchmark prices the per-tick state-copy tax.
-    """
-    from repro.core.config import HiMAConfig
-    from repro.core.engine import TiledEngine
-
-    if config is None:
-        config = HiMAConfig(
-            memory_size=32, word_size=16, num_tiles=4, hidden_size=32,
-            two_stage_sort=False,
-        )
-    engine = TiledEngine(config, rng=rng)
-    input_size = engine.reference.config.input_size
-    gen = new_rng(rng)
-    kinds = [WORKLOAD_KINDS[i % len(WORKLOAD_KINDS)] for i in range(num_sessions)]
-    scripts = [
-        SessionScript(
-            session_id=f"{kinds[i]}-{i}",
-            arrival_tick=0,
-            kind=kinds[i],
-            inputs=_WORKLOADS[kinds[i]](gen, steps_per_session, input_size),
-        )
-        for i in range(num_sessions)
-    ]
-    total_requests = num_sessions * steps_per_session
-
-    def serve_once():
-        server = SessionServer(
-            engine,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            queue_capacity=max(total_requests, 1),
-            session_capacity=max(num_sessions, 1),
-            state_arena=state_arena,
-        )
-        results = run_open_loop(server, scripts)
-        return server, results
-
-    # Warm up both paths (BLAS pools, allocator), then time.
-    server, _ = serve_once()
-    engine.run(scripts[0].inputs[:2])
-    engine.traffic.clear()
-
-    best, first = timed_reps(
-        {
-            "served": lambda: timed_call(serve_once),
-            "sequential": lambda: timed_call(
-                lambda: {s.session_id: engine.run(s.inputs) for s in scripts}
-            ),
-        },
-        repeats,
-        cleanup=engine.traffic.clear,
-    )
-    server, results = first["served"]
-    baseline = first["sequential"]
-    served_time = best["served"]
-    sequential_time = best["sequential"]
-
-    diff = 0.0
-    for script in scripts:
-        served = np.stack([r.y for r in results[script.session_id]])
-        diff = max(diff, float(np.max(np.abs(served - baseline[script.session_id]))))
-
-    metrics = server.metrics
-    p50, p95 = metrics.wait_percentiles()
-    p99 = metrics.wait_quantile(0.99)
-    return ServeLoadResult(
-        concurrent_sessions=num_sessions,
-        steps_per_session=steps_per_session,
-        max_batch=max_batch,
-        max_wait_ticks=max_wait_ticks,
-        requests_per_sec=total_requests / served_time,
-        sequential_requests_per_sec=total_requests / sequential_time,
-        speedup_vs_sequential=sequential_time / served_time,
-        microbatch_max_abs_diff=diff,
-        p50_wait_ticks=float(p50 if p50 is not None else -1.0),
-        p95_wait_ticks=float(p95 if p95 is not None else -1.0),
-        p99_wait_ticks=float(p99 if p99 is not None else -1.0),
-        mean_batch_occupancy=float(metrics.mean_occupancy() or 0.0),
-        admission_rejects=metrics.admission_rejects,
-        evictions=metrics.evictions_ttl + metrics.evictions_lru,
-        dtype=config.dtype,
-        memory_size=config.memory_size,
-        state_arena=state_arena,
-        state_bytes_copied=metrics.state_bytes_copied,
-            backend=config.backend,
-    )
-
-
-def measure_serve_ab(
-    config=None,
-    num_sessions: int = 16,
-    steps_per_session: int = 4,
-    max_batch: int = 16,
-    max_wait_ticks: int = 1,
-    repeats: int = 5,
-    rng: SeedLike = 0,
-) -> Tuple[ServeLoadResult, ServeLoadResult]:
-    """A/B the resident-arena and gather/scatter state paths, interleaved.
-
-    Both paths serve the identical scripted workload through one shared
-    engine.  Timing rounds are *interleaved* and alternate which path
-    runs first: measuring one path to completion and then the other lets
-    allocator and cache warm-up systematically favor whichever ran
-    second, which at serving timescales is a bigger effect than the
-    difference under test.  Returns ``(arena_result,
-    gather_scatter_result)``; each is checked element-wise against the
-    solo unbatched baseline exactly like :func:`measure_serve_load`.
-    """
-    from repro.core.config import HiMAConfig
-    from repro.core.engine import TiledEngine
-
-    if config is None:
-        config = HiMAConfig(
-            memory_size=32, word_size=16, num_tiles=4, hidden_size=32,
-            two_stage_sort=False,
-        )
-    engine = TiledEngine(config, rng=rng)
-    input_size = engine.reference.config.input_size
-    gen = new_rng(rng)
-    kinds = [WORKLOAD_KINDS[i % len(WORKLOAD_KINDS)] for i in range(num_sessions)]
-    scripts = [
-        SessionScript(
-            session_id=f"{kinds[i]}-{i}",
-            arrival_tick=0,
-            kind=kinds[i],
-            inputs=_WORKLOADS[kinds[i]](gen, steps_per_session, input_size),
-        )
-        for i in range(num_sessions)
-    ]
-    total_requests = num_sessions * steps_per_session
-
-    def serve_once(state_arena: bool):
-        server = SessionServer(
-            engine,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            queue_capacity=max(total_requests, 1),
-            session_capacity=max(num_sessions, 1),
-            state_arena=state_arena,
-        )
-        results = run_open_loop(server, scripts)
-        return server, results
-
-    # Warm up both paths and the solo baseline.
-    serve_once(True)
-    serve_once(False)
-    engine.run(scripts[0].inputs[:2])
-    engine.traffic.clear()
-
-    best, first = timed_reps(
-        {
-            "arena": lambda: timed_call(lambda: serve_once(True)),
-            "gather_scatter": lambda: timed_call(lambda: serve_once(False)),
-            "sequential": lambda: timed_call(
-                lambda: {s.session_id: engine.run(s.inputs) for s in scripts}
-            ),
-        },
-        repeats,
-        cleanup=engine.traffic.clear,
-    )
-    times = {True: best["arena"], False: best["gather_scatter"]}
-    runs: Dict[bool, tuple] = {
-        True: first["arena"], False: first["gather_scatter"],
-    }
-    baseline = first["sequential"]
-    sequential_time = best["sequential"]
-
-    def build(state_arena: bool) -> ServeLoadResult:
-        server, results = runs[state_arena]
-        diff = 0.0
-        for script in scripts:
-            served = np.stack([r.y for r in results[script.session_id]])
-            diff = max(
-                diff,
-                float(np.max(np.abs(served - baseline[script.session_id]))),
-            )
-        metrics = server.metrics
-        p50, p95 = metrics.wait_percentiles()
-        p99 = metrics.wait_quantile(0.99)
-        served_time = times[state_arena]
-        return ServeLoadResult(
-            concurrent_sessions=num_sessions,
-            steps_per_session=steps_per_session,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            requests_per_sec=total_requests / served_time,
-            sequential_requests_per_sec=total_requests / sequential_time,
-            speedup_vs_sequential=sequential_time / served_time,
-            microbatch_max_abs_diff=diff,
-            p50_wait_ticks=float(p50 if p50 is not None else -1.0),
-            p95_wait_ticks=float(p95 if p95 is not None else -1.0),
-            p99_wait_ticks=float(p99 if p99 is not None else -1.0),
-            mean_batch_occupancy=float(metrics.mean_occupancy() or 0.0),
-            admission_rejects=metrics.admission_rejects,
-            evictions=metrics.evictions_ttl + metrics.evictions_lru,
-            dtype=config.dtype,
-            memory_size=config.memory_size,
-            state_arena=state_arena,
-            state_bytes_copied=metrics.state_bytes_copied,
-            backend=config.backend,
-        )
-
-    return build(True), build(False)
-
-
-def measure_serve_backend_ab(
-    config=None,
-    backends: Sequence[str] = ("reference", "tuned"),
-    num_sessions: int = 16,
-    steps_per_session: int = 4,
-    max_batch: int = 16,
-    max_wait_ticks: int = 1,
-    repeats: int = 5,
-    rng: SeedLike = 0,
-) -> Dict[str, ServeLoadResult]:
-    """A/B kernel backends under the full serving stack, interleaved.
-
-    One engine per backend (``config.with_features(backend=name)``), all
-    serving the identical scripted workload through the resident-arena
-    :class:`~repro.serve.server.SessionServer` — this drives the masked
-    in-place fused write, the path a serving deployment actually lives
-    on.  Timing rounds are interleaved with a seeded shuffled visit
-    order (:func:`timed_reps`) and each backend keeps its best round.
-
-    Correctness: every backend's served outputs are checked against *its
-    own* solo unbatched runs — the served-vs-solo determinism bar
-    (``microbatch_max_abs_diff``), which must hold no matter which
-    backend the engine steps with.  The timed sequential baseline runs
-    on the first (control) backend so ``speedup_vs_sequential`` is
-    comparable across entries.
-    """
-    from repro.core.config import HiMAConfig
-    from repro.core.engine import TiledEngine
-
-    if config is None:
-        config = HiMAConfig(
-            memory_size=32, word_size=16, num_tiles=4, hidden_size=32,
-            two_stage_sort=False,
-        )
-    engines = {
-        name: TiledEngine(config.with_features(backend=name), rng=rng)
-        for name in backends
-    }
-    control = backends[0]
-    input_size = engines[control].reference.config.input_size
-    gen = new_rng(rng)
-    kinds = [WORKLOAD_KINDS[i % len(WORKLOAD_KINDS)] for i in range(num_sessions)]
-    scripts = [
-        SessionScript(
-            session_id=f"{kinds[i]}-{i}",
-            arrival_tick=0,
-            kind=kinds[i],
-            inputs=_WORKLOADS[kinds[i]](gen, steps_per_session, input_size),
-        )
-        for i in range(num_sessions)
-    ]
-    total_requests = num_sessions * steps_per_session
-
-    def serve_once(name: str):
-        server = SessionServer(
-            engines[name],
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            queue_capacity=max(total_requests, 1),
-            session_capacity=max(num_sessions, 1),
-            state_arena=True,
-        )
-        results = run_open_loop(server, scripts)
-        return server, results
-
-    def cleanup():
-        for engine in engines.values():
-            engine.traffic.clear()
-
-    # Warm up every backend's served path plus the control's solo path.
-    for name in backends:
-        serve_once(name)
-    engines[control].run(scripts[0].inputs[:2])
-    cleanup()
-
-    runners: Dict[str, Callable[[], Tuple[float, object]]] = {
-        name: (lambda n=name: timed_call(lambda: serve_once(n)))
-        for name in backends
-    }
-    runners["sequential"] = lambda: timed_call(
-        lambda: {s.session_id: engines[control].run(s.inputs) for s in scripts}
-    )
-    best, first = timed_reps(runners, repeats, cleanup=cleanup)
-    sequential_time = best["sequential"]
-
-    results: Dict[str, ServeLoadResult] = {}
-    for name in backends:
-        server, served = first[name]
-        if name == control:
-            baseline = first["sequential"]
-        else:
-            baseline = {
-                s.session_id: engines[name].run(s.inputs) for s in scripts
-            }
-            cleanup()
-        diff = 0.0
-        for script in scripts:
-            got = np.stack([r.y for r in served[script.session_id]])
-            diff = max(
-                diff,
-                float(np.max(np.abs(got - baseline[script.session_id]))),
-            )
-        metrics = server.metrics
-        p50, p95 = metrics.wait_percentiles()
-        p99 = metrics.wait_quantile(0.99)
-        served_time = best[name]
-        results[name] = ServeLoadResult(
-            concurrent_sessions=num_sessions,
-            steps_per_session=steps_per_session,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            requests_per_sec=total_requests / served_time,
-            sequential_requests_per_sec=total_requests / sequential_time,
-            speedup_vs_sequential=sequential_time / served_time,
-            microbatch_max_abs_diff=diff,
-            p50_wait_ticks=float(p50 if p50 is not None else -1.0),
-            p95_wait_ticks=float(p95 if p95 is not None else -1.0),
-            p99_wait_ticks=float(p99 if p99 is not None else -1.0),
-            mean_batch_occupancy=float(metrics.mean_occupancy() or 0.0),
-            admission_rejects=metrics.admission_rejects,
-            evictions=metrics.evictions_ttl + metrics.evictions_lru,
-            dtype=config.dtype,
-            memory_size=config.memory_size,
-            state_arena=True,
-            state_bytes_copied=metrics.state_bytes_copied,
-            backend=name,
-        )
-    return results
-
-
-def measure_serve_tracing_ab(
-    config=None,
-    num_sessions: int = 16,
-    steps_per_session: int = 4,
-    max_batch: int = 16,
-    max_wait_ticks: int = 1,
-    repeats: int = 5,
-    rng: SeedLike = 0,
-) -> Tuple[ServeLoadResult, ServeLoadResult]:
-    """A/B full observability (tracing + profiling) against a bare server.
-
-    Both variants serve the identical scripted workload through one
-    shared engine on the resident-arena path; the ``tracing_on`` run
-    attaches a fresh :class:`~repro.obs.trace.Tracer` and
-    :class:`~repro.obs.profiler.PhaseTimer` to its
-    :class:`~repro.serve.server.SessionServer`, the ``tracing_off`` run
-    attaches nothing.  Timing rounds are interleaved exactly like
-    :func:`measure_serve_ab` so warm-up and background drift cannot
-    masquerade as instrumentation cost.  Returns ``(tracing_on_result,
-    tracing_off_result)``; the serve-load artifact's <3% overhead floor
-    is asserted on this pair.
-
-    The default configuration serves at ``memory_size=256`` — large
-    enough that engine phases dominate the tick, which is the regime
-    where the per-phase timers' overhead bound is meaningful.
-    """
-    from repro.core.config import HiMAConfig
-    from repro.core.engine import TiledEngine
-    from repro.obs import PhaseTimer, Tracer
-
-    if config is None:
-        config = HiMAConfig(
-            memory_size=256, word_size=16, num_reads=1, num_tiles=8,
-            hidden_size=32, two_stage_sort=False,
-        )
-    engine = TiledEngine(config, rng=rng)
-    input_size = engine.reference.config.input_size
-    gen = new_rng(rng)
-    kinds = [WORKLOAD_KINDS[i % len(WORKLOAD_KINDS)] for i in range(num_sessions)]
-    scripts = [
-        SessionScript(
-            session_id=f"{kinds[i]}-{i}",
-            arrival_tick=0,
-            kind=kinds[i],
-            inputs=_WORKLOADS[kinds[i]](gen, steps_per_session, input_size),
-        )
-        for i in range(num_sessions)
-    ]
-    total_requests = num_sessions * steps_per_session
-
-    def serve_once(tracing: bool):
-        server = SessionServer(
-            engine,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            queue_capacity=max(total_requests, 1),
-            session_capacity=max(num_sessions, 1),
-            tracer=Tracer() if tracing else None,
-            profiler=PhaseTimer() if tracing else None,
-        )
-        results = run_open_loop(server, scripts)
-        return server, results
-
-    def cleanup():
-        # The shard attaches its profiler to the shared engine and never
-        # detaches it; without this reset the "off" rounds would keep
-        # timing phases and the A/B would measure nothing.
-        engine.profiler = None
-        engine.traffic.clear()
-
-    # Warm up both paths, then time.
-    serve_once(True)
-    serve_once(False)
-    cleanup()
-
-    best, first = timed_reps(
-        {
-            "tracing_on": lambda: timed_call(lambda: serve_once(True)),
-            "tracing_off": lambda: timed_call(lambda: serve_once(False)),
-            "sequential": lambda: timed_call(
-                lambda: {s.session_id: engine.run(s.inputs) for s in scripts}
-            ),
-        },
-        repeats,
-        cleanup=cleanup,
-    )
-    sequential_time = best["sequential"]
-
-    # Traced and untraced serving must be numerically identical —
-    # observability is timing and counting only.  Compare the two
-    # variants' round-0 outputs directly.
-    on_results = first["tracing_on"][1]
-    off_results = first["tracing_off"][1]
-    diff = 0.0
-    for script in scripts:
-        on = np.stack([r.y for r in on_results[script.session_id]])
-        off = np.stack([r.y for r in off_results[script.session_id]])
-        diff = max(diff, float(np.max(np.abs(on - off))))
-
-    def build(key: str, tracing: bool) -> ServeLoadResult:
-        server, _ = first[key]
-        served_time = best[key]
-        metrics = server.metrics
-        p50, p95 = metrics.wait_percentiles()
-        p99 = metrics.wait_quantile(0.99)
-        return ServeLoadResult(
-            concurrent_sessions=num_sessions,
-            steps_per_session=steps_per_session,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            requests_per_sec=total_requests / served_time,
-            sequential_requests_per_sec=total_requests / sequential_time,
-            speedup_vs_sequential=sequential_time / served_time,
-            microbatch_max_abs_diff=diff,
-            p50_wait_ticks=float(p50 if p50 is not None else -1.0),
-            p95_wait_ticks=float(p95 if p95 is not None else -1.0),
-            p99_wait_ticks=float(p99 if p99 is not None else -1.0),
-            mean_batch_occupancy=float(metrics.mean_occupancy() or 0.0),
-            admission_rejects=metrics.admission_rejects,
-            evictions=metrics.evictions_ttl + metrics.evictions_lru,
-            dtype=config.dtype,
-            memory_size=config.memory_size,
-            state_arena=True,
-            state_bytes_copied=metrics.state_bytes_copied,
-            backend=config.backend,
-            tracing=tracing,
-        )
-
-    return build("tracing_on", True), build("tracing_off", False)
-
-
-def large_n_sparse_config(
-    memory_size: int = 1024,
-    access_top_k: int = 64,
-    word_size: int = 16,
-    num_reads: int = 1,
-    num_tiles: int = 8,
-    hidden_size: int = 32,
-    **overrides,
-):
-    """The canonical large-N sparse serving configuration.
-
-    Sparse top-K access is what makes ``memory_size >= 1024`` servable —
-    the dense O(N^2) write/linkage phases dominate the step there (see
-    ``BENCH_sparse_access.json``) — so the large-N load scenarios build
-    their engine from this one place.  ``access_top_k=0`` drops back to
-    the dense policy (the sweep's baseline arm); any other
-    :class:`~repro.core.config.HiMAConfig` field can be overridden.
-    """
-    from repro.core.config import HiMAConfig
-
-    policy = "sparse" if access_top_k > 0 else "dense"
-    return HiMAConfig(
-        memory_size=memory_size, word_size=word_size, num_reads=num_reads,
-        num_tiles=num_tiles, hidden_size=hidden_size, two_stage_sort=False,
-        access_policy=policy, access_top_k=access_top_k, **overrides,
-    )
-
-
-def measure_serve_memory_sweep(
-    memory_sizes: Sequence[int] = (384, 1024),
-    access_top_k: int = 64,
-    num_sessions: int = 12,
-    max_batch: int = 8,
-    max_wait_ticks: int = 1,
-    repeats: int = 2,
-    rng: int = 0,
-    mean_session_len: float = 6.0,
-) -> Dict[int, ServeLoadResult]:
-    """Serve the same Zipf-tenant mix across a ``memory_size`` sweep.
-
-    The memory-size knob for serving measurements: each sweep point
-    builds a :func:`large_n_sparse_config` engine at that ``N``
-    (``access_top_k=0`` sweeps the dense policy instead), replays one
-    seeded :func:`generate_zipf_scripts` trace through a
-    :class:`~repro.serve.server.SessionServer`, checks every served
-    trajectory against solo unbatched stepping on a same-seed engine,
-    and scores the best wall time over ``repeats`` rounds.  Returns
-    ``{memory_size: ServeLoadResult}``; ``steps_per_session`` records
-    the trace's mean session length (Zipf sessions are ragged).
-    """
-    from repro.core.engine import TiledEngine
-
-    results: Dict[int, ServeLoadResult] = {}
-    for memory_size in memory_sizes:
-        config = large_n_sparse_config(
-            memory_size=memory_size, access_top_k=access_top_k
-        )
-        engine = TiledEngine(config, rng=rng)
-        input_size = engine.reference.config.input_size
-        scripts = generate_zipf_scripts(
-            input_size,
-            num_sessions=num_sessions,
-            mean_session_len=mean_session_len,
-            rng=rng,
-        )
-        total_requests = sum(script.length for script in scripts)
-
-        solo_engine = TiledEngine(config, rng=rng)
-        baseline = {s.session_id: solo_engine.run(s.inputs) for s in scripts}
-        solo_engine.traffic.clear()
-
-        def serve_once():
-            server = SessionServer(
-                engine,
-                max_batch=max_batch,
-                max_wait_ticks=max_wait_ticks,
-                queue_capacity=max(total_requests, 1),
-                session_capacity=max(num_sessions, 1),
-            )
-            return server, run_open_loop(server, scripts)
-
-        server, results_map = serve_once()  # warm-up + correctness run
-        engine.traffic.clear()
-        diff = 0.0
-        for script in scripts:
-            served = np.stack([r.y for r in results_map[script.session_id]])
-            diff = max(
-                diff,
-                float(np.max(np.abs(served - baseline[script.session_id]))),
-            )
-
-        def run_sequential():
-            for script in scripts:
-                solo_engine.run(script.inputs)
-
-        def cleanup():
-            engine.traffic.clear()
-            solo_engine.traffic.clear()
-
-        best, timed_first = timed_reps(
-            {
-                "served": lambda: timed_call(serve_once),
-                "sequential": lambda: timed_call(run_sequential),
-            },
-            repeats,
-            cleanup=cleanup,
-        )
-        server, _ = timed_first["served"]
-        served_time = best["served"]
-        sequential_time = best["sequential"]
-
-        metrics = server.metrics
-        p50, p95 = metrics.wait_percentiles()
-        p99 = metrics.wait_quantile(0.99)
-        results[memory_size] = ServeLoadResult(
-            concurrent_sessions=num_sessions,
-            steps_per_session=max(1, total_requests // num_sessions),
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            requests_per_sec=total_requests / served_time,
-            sequential_requests_per_sec=total_requests / sequential_time,
-            speedup_vs_sequential=sequential_time / served_time,
-            microbatch_max_abs_diff=diff,
-            p50_wait_ticks=float(p50 if p50 is not None else -1.0),
-            p95_wait_ticks=float(p95 if p95 is not None else -1.0),
-            p99_wait_ticks=float(p99 if p99 is not None else -1.0),
-            mean_batch_occupancy=float(metrics.mean_occupancy() or 0.0),
-            admission_rejects=metrics.admission_rejects,
-            evictions=metrics.evictions_ttl + metrics.evictions_lru,
-            dtype=config.dtype,
-            memory_size=config.memory_size,
-            state_arena=True,
-            state_bytes_copied=metrics.state_bytes_copied,
-            backend=config.backend,
-        )
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Shard-scaling measurement
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardScalingResult:
-    """One shard-count point of the sharded-serving scaling curve.
-
-    Field names match :data:`repro.eval.bench_schema.SHARD_ENTRY_KEYS`
-    exactly — :meth:`to_json` is generated from that single source of
-    truth.  ``requests_per_sec`` counts completed step requests per wall
-    second over the identical workload at every shard count;
-    ``speedup_vs_one_shard`` is relative to this sweep's 1-shard
-    cluster, and ``session_server_requests_per_sec`` is the pre-sharding
-    :class:`~repro.serve.server.SessionServer` on the same workload (the
-    no-regression baseline for the 1-shard cluster).
-    """
-
-    shards: int
-    concurrent_sessions: int
-    steps_per_session: int
-    max_batch: int
-    requests_per_sec: float
-    speedup_vs_one_shard: float
-    session_server_requests_per_sec: float
-    #: Served-vs-solo max abs error from the correctness pass, which for
-    #: multi-shard counts includes one forced mid-stream migration.
-    sharded_max_abs_diff: float
-    sessions_migrated: int
-    parallel: bool
-    placement: str
-    dtype: str
-    memory_size: int
-
-    def to_json(self) -> Dict[str, object]:
-        """One ``BENCH_shard_scaling.json`` artifact entry."""
-        return {key: getattr(self, key) for key in SHARD_ENTRY_KEYS}
-
-
-def measure_shard_scaling(
-    config=None,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    num_sessions: int = 64,
-    steps_per_session: int = 4,
-    max_batch: int = 16,
-    max_wait_ticks: int = 1,
-    repeats: int = 3,
-    rng: int = 0,
-    parallel: bool = True,
-) -> Dict[int, ShardScalingResult]:
-    """Measure :class:`~repro.serve.cluster.ShardedServer` scaling.
-
-    Every shard count serves the identical workload (``num_sessions``
-    concurrent sessions, all arriving at tick 0) with per-shard arena
-    capacity ``num_sessions / shards`` and the same per-engine
-    ``max_batch``, so the engine-step budget is constant and the curve
-    isolates what sharding buys: full-occupancy zero-copy arena steps on
-    every shard (the 1-shard cluster runs at fractional occupancy and
-    pays the masked-step state movement) plus thread-parallel shard
-    ticks.  A :class:`~repro.serve.server.SessionServer` baseline runs
-    the same workload for the no-regression bound, and a separate
-    correctness pass — with one forced mid-stream migration when there
-    is more than one shard — checks served outputs against solo
-    unbatched stepping.
-
-    ``rng`` must be an integer seed (not a live generator): it seeds
-    every shard engine identically, the cluster's migration contract.
-    """
-    from repro.core.config import HiMAConfig
-    from repro.core.engine import TiledEngine
-
-    if config is None:
-        config = HiMAConfig(
-            memory_size=384, word_size=16, num_reads=1, num_tiles=8,
-            hidden_size=32, two_stage_sort=False,
-        )
-    if 1 not in shard_counts:
-        raise ConfigError(
-            "shard_counts must include 1 (the speedup reference), got "
-            f"{tuple(shard_counts)}"
-        )
-    for count in shard_counts:
-        if num_sessions % count != 0:
-            raise ConfigError(
-                f"num_sessions ({num_sessions}) must divide evenly into "
-                f"{count} shards"
-            )
-    input_size = config.word_size
-    gen = new_rng(rng)
-    kinds = [
-        WORKLOAD_KINDS[i % len(WORKLOAD_KINDS)] for i in range(num_sessions)
-    ]
-    scripts = [
-        SessionScript(
-            session_id=f"{kinds[i]}-{i}",
-            arrival_tick=0,
-            kind=kinds[i],
-            inputs=_WORKLOADS[kinds[i]](gen, steps_per_session, input_size),
-        )
-        for i in range(num_sessions)
-    ]
-    total_requests = num_sessions * steps_per_session
-
-    # Solo unbatched reference trajectories (the correctness bar).
-    solo_engine = TiledEngine(config, rng=rng)
-    baseline = {s.session_id: solo_engine.run(s.inputs) for s in scripts}
-    solo_engine.traffic.clear()
-
-    # Pre-sharding SessionServer baseline on the identical workload.
-    server_engine = TiledEngine(config, rng=rng)
-
-    def run_session_server() -> Tuple[float, object]:
-        # Construction stays outside the critical section: the point is
-        # serving throughput, not arena allocation.
-        server = SessionServer(
-            server_engine,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            queue_capacity=max(total_requests, 1),
-            session_capacity=num_sessions,
-        )
-        return timed_call(lambda: run_open_loop(server, scripts))
-
-    single_best, _ = timed_reps(
-        {"session_server": run_session_server},
-        repeats,
-        cleanup=server_engine.traffic.clear,
-    )
-    session_server_rps = total_requests / single_best["session_server"]
-
-    results: Dict[int, ShardScalingResult] = {}
-    for count in shard_counts:
-        capacity = num_sessions // count
-        engines = [TiledEngine(config, rng=rng) for _ in range(count)]
-
-        def make_cluster(slack: int = 0) -> ShardedServer:
-            return ShardedServer(
-                engines,
-                max_batch=max_batch,
-                max_wait_ticks=max_wait_ticks,
-                queue_capacity=max(total_requests, 1),
-                session_capacity=capacity + slack,
-                parallel=parallel,
-            )
-
-        # Correctness pass (one free slot so a migration can land).
-        migrated = 0
-        results_map: Dict[str, List[StepRequest]] = {}
-        with make_cluster(slack=1) as cluster:
-            for script in scripts:
-                if cluster.open_session(script.session_id) is None:
-                    raise ConfigError(
-                        f"shard cluster refused session "
-                        f"{script.session_id!r} during the correctness pass"
-                    )
-                results_map[script.session_id] = [
-                    cluster.submit(script.session_id, x)
-                    for x in script.inputs
-                ]
-            cluster.run_tick()
-            if count > 1:
-                victim = scripts[0].session_id
-                src = cluster.shard_of(victim)
-                cluster.migrate_session(victim, (src + 1) % count)
-                migrated = cluster.migrations
-            cluster.drain()
-        diff = 0.0
-        for script in scripts:
-            served = np.stack(
-                [r.y for r in results_map[script.session_id]]
-            )
-            diff = max(
-                diff,
-                float(np.max(np.abs(served - baseline[script.session_id]))),
-            )
-        for engine in engines:
-            engine.traffic.clear()
-
-        # Timing rounds: fresh cluster per round, best wall time
-        # (cluster construction and teardown stay outside the clock).
-        def run_cluster() -> Tuple[float, object]:
-            with make_cluster() as timing_cluster:
-                return timed_call(
-                    lambda: run_open_loop(timing_cluster, scripts)
-                )
-
-        def clear_engines():
-            for engine in engines:
-                engine.traffic.clear()
-
-        cluster_best, _ = timed_reps(
-            {"cluster": run_cluster}, repeats, cleanup=clear_engines
-        )
-        best = cluster_best["cluster"]
-        results[count] = ShardScalingResult(
-            shards=count,
-            concurrent_sessions=num_sessions,
-            steps_per_session=steps_per_session,
-            max_batch=max_batch,
-            requests_per_sec=total_requests / best,
-            speedup_vs_one_shard=0.0,  # filled below once shards=1 is known
-            session_server_requests_per_sec=session_server_rps,
-            sharded_max_abs_diff=diff,
-            sessions_migrated=migrated,
-            parallel=parallel,
-            placement=type(cluster.placement).__name__,
-            dtype=config.dtype,
-            memory_size=config.memory_size,
-        )
-
-    reference = results[1].requests_per_sec
-    for result in results.values():
-        result.speedup_vs_one_shard = result.requests_per_sec / reference
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Process-serving measurement (threads vs procs vs procs + restarts)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProcServeResult:
-    """One topology point of the process-serving comparison.
-
-    Field names match :data:`repro.eval.bench_schema.PROC_ENTRY_KEYS`
-    exactly — :meth:`to_json` is generated from that single source of
-    truth.  ``mode`` is ``"threads"`` (thread-sharded
-    :class:`~repro.serve.cluster.ShardedServer`), ``"procs"``
-    (:class:`~repro.serve.proc.ProcCluster`), or ``"procs_restart"``
-    (the process cluster under the rolling SIGKILL drill);
-    ``speedup_vs_threads`` is relative to this sweep's threads variant.
-    """
-
-    mode: str
-    workers: int
-    concurrent_sessions: int
-    total_requests: int
-    max_batch: int
-    requests_per_sec: float
-    speedup_vs_threads: float
-    #: Served-vs-solo max abs error over every completed request — for
-    #: ``procs_restart`` that bound holds *through* worker kills and
-    #: checkpoint/replay recovery.
-    max_abs_diff_vs_solo: float
-    requests_failed: int
-    worker_restarts: int
-    sessions_recovered: int
-    checkpoints_taken: int
-    checkpoint_interval: int
-    p95_wait_ticks: float
-    p99_wait_ticks: float
-    dtype: str
-    memory_size: int
-
-    def to_json(self) -> Dict[str, object]:
-        """One ``BENCH_proc_serve.json`` artifact entry."""
-        return {key: getattr(self, key) for key in PROC_ENTRY_KEYS}
-
-
-def measure_proc_serve(
-    config=None,
-    num_workers: int = 4,
-    num_sessions: int = 64,
-    max_batch: int = 16,
-    max_wait_ticks: int = 1,
-    repeats: int = 3,
-    rng: int = 0,
-    checkpoint_interval: int = 8,
-    kill_every_ticks: int = 8,
-    mean_session_len: float = 6.0,
-) -> Dict[str, ProcServeResult]:
-    """Threads vs worker processes vs processes-under-restarts, one workload.
-
-    All three topologies serve the identical ``num_sessions``-session
-    Zipf-tenant mix (:func:`generate_zipf_scripts`): the thread cluster
-    shares one GIL across its shard ticks, so at serving-heavy
-    ``memory_size`` the process cluster's truly parallel ticks are the
-    scaling story this measurement exists to record — and the
-    ``procs_restart`` variant prices crash recovery by SIGKILLing a
-    worker every ``kill_every_ticks`` ticks mid-traffic
-    (:func:`run_rolling_restart`) while the checkpoint/replay path keeps
-    every trajectory within 1e-10 of solo stepping.
-
-    Each variant runs ``repeats`` rounds on a fresh cluster, with the
-    rounds interleaved round-robin across the variants so drifting
-    background load cannot bias one variant's block (best wall time
-    scores each variant); correctness stats come from the first round.
-    Returns ``{"threads": ..., "procs": ..., "procs_restart": ...}``
-    with ``speedup_vs_threads`` filled relative to the threads variant.
-
-    ``rng`` must be an integer seed: it seeds every shard and worker
-    engine identically (the migration/recovery weight contract).
-    """
-    from repro.core.config import HiMAConfig
-    from repro.core.engine import TiledEngine
-    from repro.serve.proc import ProcCluster
-
-    if config is None:
-        config = HiMAConfig(
-            memory_size=384, word_size=16, num_reads=1, num_tiles=8,
-            hidden_size=32, two_stage_sort=False,
-        )
-    input_size = config.word_size
-    scripts = generate_zipf_scripts(
-        input_size,
-        num_sessions=num_sessions,
-        mean_session_len=mean_session_len,
-        rng=rng,
-    )
-    total_requests = sum(script.length for script in scripts)
-
-    # Solo unbatched reference trajectories (the correctness bar).
-    solo_engine = TiledEngine(config, rng=rng)
-    baseline = {s.session_id: solo_engine.run(s.inputs) for s in scripts}
-    solo_engine.traffic.clear()
-
-    def check_results(results_map) -> Tuple[float, int]:
-        diff = 0.0
-        failed = 0
-        for script in scripts:
-            for t, request in enumerate(results_map[script.session_id]):
-                if request.error is not None or request.y is None:
-                    failed += 1
-                    continue
-                diff = max(diff, float(np.max(np.abs(
-                    request.y - baseline[script.session_id][t]
-                ))))
-        return diff, failed
-
-    thread_engines = [TiledEngine(config, rng=rng) for _ in range(num_workers)]
-
-    def run_threads():
-        # Thread-per-shard: both sides of the comparison get one
-        # execution context per shard (4 threads vs 4 processes).  The
-        # pool's default ``min(shards, cpu_count)`` width would quietly
-        # degenerate to a single worker thread on a small box — a
-        # sequential cluster wearing a ``parallel=True`` label, which
-        # measures neither the GIL cost threads actually pay nor the
-        # topology this comparison exists to record.
-        with ShardedServer(
-            thread_engines,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            queue_capacity=max(total_requests, 1),
-            session_capacity=num_sessions,
-            parallel=True,
-            parallel_workers=num_workers,
-        ) as cluster:
-            elapsed, results_map = timed_call(
-                lambda: run_open_loop(cluster, scripts)
-            )
-            metrics = cluster.cluster_metrics()
-        for engine in thread_engines:
-            engine.traffic.clear()
-        return elapsed, (results_map, metrics)
-
-    def run_procs(restart: bool):
-        # The steady-state variant turns periodic checkpointing off so
-        # the threads-vs-procs point compares pure serving topology —
-        # neither side does durability work (the supervisor still logs
-        # every input, so replay-from-open recovery stays available).
-        # ``procs_restart`` keeps the interval and prices the full
-        # checkpoint + SIGKILL + restore drill.
-        with ProcCluster(
-            config,
-            seed=rng,
-            num_workers=num_workers,
-            max_batch=max_batch,
-            max_wait_ticks=max_wait_ticks,
-            queue_capacity=max(total_requests, 1),
-            session_capacity=num_sessions,
-            checkpoint_interval=checkpoint_interval if restart else None,
-        ) as cluster:
-            if restart:
-                elapsed, (results_map, _) = timed_call(
-                    lambda: run_rolling_restart(
-                        cluster, scripts, kill_every_ticks=kill_every_ticks
-                    )
-                )
-            else:
-                elapsed, results_map = timed_call(
-                    lambda: run_open_loop(cluster, scripts)
-                )
-            metrics = cluster.cluster_metrics()
-            extra = {
-                "sessions_recovered": cluster.supervisor.sessions_recovered,
-                "checkpoints_taken": cluster.supervisor.checkpoints_taken,
-            }
-        return elapsed, (results_map, (metrics, extra))
-
-    runners = {
-        "threads": run_threads,
-        "procs": lambda: run_procs(False),
-        "procs_restart": lambda: run_procs(True),
-    }
-    # Interleaved rounds (see timed_reps): every variant sees the same
-    # background-noise distribution, so best-of-``repeats`` compares
-    # topologies, not measurement order.
-    best, first = timed_reps(runners, repeats)
-
-    def build(mode: str) -> ProcServeResult:
-        results_map, stats = first[mode]
-        if mode == "threads":
-            metrics, extra = stats, {
-                "sessions_recovered": 0, "checkpoints_taken": 0,
-            }
-        else:
-            metrics, extra = stats
-        diff, failed = check_results(results_map)
-        p95 = metrics.wait_percentiles()[1]
-        p99 = metrics.wait_quantile(0.99)
-        return ProcServeResult(
-            mode=mode,
-            workers=num_workers,
-            concurrent_sessions=num_sessions,
-            total_requests=total_requests,
-            max_batch=max_batch,
-            requests_per_sec=total_requests / best[mode],
-            speedup_vs_threads=0.0,  # filled below once threads is known
-            max_abs_diff_vs_solo=diff,
-            requests_failed=failed,
-            worker_restarts=metrics.worker_restarts,
-            sessions_recovered=extra["sessions_recovered"],
-            checkpoints_taken=extra["checkpoints_taken"],
-            checkpoint_interval=(
-                checkpoint_interval if mode == "procs_restart" else 0
-            ),
-            p95_wait_ticks=float(p95 if p95 is not None else -1.0),
-            p99_wait_ticks=float(p99 if p99 is not None else -1.0),
-            dtype=config.dtype,
-            memory_size=config.memory_size,
-        )
-
-    results = {mode: build(mode) for mode in runners}
-    reference = results["threads"].requests_per_sec
-    for result in results.values():
-        result.speedup_vs_threads = result.requests_per_sec / reference
-    return results
-
-
 __all__ = [
     "WORKLOAD_KINDS",
     "SessionScript",
     "tenant_of",
-    "timed_call",
-    "timed_reps",
     "generate_scripts",
     "generate_zipf_scripts",
     "run_open_loop",
     "run_rolling_restart",
-    "ServeLoadResult",
-    "measure_serve_load",
-    "measure_serve_ab",
-    "measure_serve_tracing_ab",
-    "large_n_sparse_config",
-    "measure_serve_memory_sweep",
-    "ShardScalingResult",
-    "measure_shard_scaling",
-    "ProcServeResult",
-    "measure_proc_serve",
 ]

@@ -5,8 +5,8 @@
 :class:`~repro.serve.batcher.MicroBatcher`, and the
 :class:`~repro.serve.session.SessionStore`.  Latency is measured in
 *scheduler ticks* (submit tick -> completion tick), the natural unit of
-the discrete-tick serving loop; wall-clock throughput lives in the load
-benchmark, not here.
+the discrete-tick serving loop; wall-clock throughput lives in
+``perf/``, not here.
 
 Wait times and batch occupancies are recorded as integer histograms, so
 the metrics object stays O(distinct values) — not O(requests) — under
@@ -64,8 +64,8 @@ class ServerMetrics:
     """Counters and histograms for one serving run.
 
     All counters are cumulative from construction (or the last
-    :meth:`reset`); :meth:`snapshot` renders everything as a flat JSON-able
-    dict, which the load benchmark embeds in ``BENCH_serve_load.json``.
+    :meth:`reset`); :meth:`snapshot` renders everything as a flat
+    JSON-able dict.
     """
 
     #: Additive counters, the complete list: :meth:`merge` sums exactly
@@ -132,17 +132,16 @@ class ServerMetrics:
         #: placement pick refused (cluster-level admission spill).
         self.admission_spills = 0
         self.ticks = 0
-        #: Cumulative bytes of session state copied (gathered, scattered,
-        #: or slot-written) — the number the resident state arena drives
-        #: toward zero.  Dense arena ticks contribute 0; gather/scatter
-        #: fallback ticks contribute two full batch copies.
+        #: Cumulative bytes of session state copied (slot writes/reads
+        #: plus the masked step's gather/scatter staging) — the number
+        #: the resident state arena drives toward zero.  Full-occupancy
+        #: ticks contribute 0.
         self.state_bytes_copied = 0
         #: wait ticks (completion tick - submit tick) -> request count
         self.wait_histogram: Dict[int, int] = {}
         #: dispatched batch occupancy -> tick count (0 = idle tick)
         self.occupancy_histogram: Dict[int, int] = {}
-        #: arena slots bound -> tick count (arena mode only; stays empty
-        #: on the gather/scatter fallback path, which has no slots)
+        #: arena slots bound -> tick count
         self.slot_occupancy_histogram: Dict[int, int] = {}
         #: tenant id -> completed request count (see :func:`tenant_of`)
         self.tenant_completed: Dict[str, int] = {}

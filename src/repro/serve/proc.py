@@ -630,7 +630,6 @@ class ProcCluster:
         queue_capacity: int = 1024,
         session_capacity: int = 64,
         session_ttl_ticks: Optional[int] = None,
-        state_arena: bool = True,
         placement: Optional[PlacementPolicy] = None,
         rebalance: Optional[RebalancePolicy] = None,
         checkpoint_interval: Optional[int] = 16,
@@ -677,7 +676,6 @@ class ProcCluster:
             queue_capacity=queue_capacity,
             session_capacity=session_capacity,
             session_ttl_ticks=session_ttl_ticks,
-            state_arena=state_arena,
             obs_trace=trace_enabled,
             obs_profile=profile,
         )

@@ -48,7 +48,6 @@ class SessionServer(EngineShard):
         queue_capacity: int = 1024,
         session_capacity: int = 64,
         session_ttl_ticks: Optional[int] = None,
-        state_arena: bool = True,
         metrics: Optional[ServerMetrics] = None,
         tracer: Optional[Tracer] = None,
         profiler: Optional[PhaseTimer] = None,
@@ -61,7 +60,6 @@ class SessionServer(EngineShard):
             queue_capacity=queue_capacity,
             session_capacity=session_capacity,
             session_ttl_ticks=session_ttl_ticks,
-            state_arena=state_arena,
             metrics=metrics,
             tracer=tracer,
             profiler=profiler,

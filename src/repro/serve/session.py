@@ -1,18 +1,11 @@
 """Per-session DNC state management: create / touch / TTL+LRU evict.
 
-A *session* is one user's independent DNC sequence: its entire recurrent
-context is a single unbatched
-:class:`~repro.dnc.numpy_ref.NumpyDNCState`, which the
-:class:`~repro.serve.server.SessionServer` gathers into micro-batches and
-scatters back after every shared engine step.  :class:`SessionStore`
-owns those states and bounds their memory: the dominant cost is the
-``N x N`` linkage matrix per session, so a capacity limit plus idle-state
-eviction is what lets one engine serve an open-ended user population.
-
-In the server's default resident-arena mode the recurrent state lives
-in a :class:`~repro.serve.arena.StateArena` slot instead (records carry
-``state=None``); the store then provides only the admission/eviction
-bookkeeping, with the arena's preallocated batch bounding memory.
+A *session* is one user's independent DNC sequence.  Its recurrent
+state (dominated by the ``N x N`` linkage matrix) lives in a
+:class:`~repro.serve.arena.StateArena` slot; :class:`SessionStore`
+provides the admission/eviction bookkeeping around it — a capacity limit
+plus idle-session eviction is what lets one engine serve an open-ended
+user population within the arena's preallocated batch.
 """
 
 from __future__ import annotations
@@ -21,22 +14,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set
 
-from repro.dnc.numpy_ref import NumpyDNCState
 from repro.errors import CapacityError, ConfigError
 
 
 @dataclass
 class SessionRecord:
-    """One live session: its state plus bookkeeping for eviction.
-
-    ``state`` is the session's unbatched recurrent context on the
-    gather/scatter path, and ``None`` when the server pins state in a
-    :class:`~repro.serve.arena.StateArena` slot instead (the arena, not
-    the record, owns the arrays then).
-    """
+    """One live session's eviction bookkeeping (the arena owns its state)."""
 
     session_id: str
-    state: Optional[NumpyDNCState]
     created_tick: int
     last_active_tick: int
     steps_completed: int = 0
@@ -62,7 +47,6 @@ class SessionStore:
 
     def __init__(
         self,
-        state_factory: Optional[Callable[[], NumpyDNCState]],
         capacity: int = 64,
         ttl_ticks: Optional[int] = None,
         lru_evict: bool = True,
@@ -72,7 +56,6 @@ class SessionStore:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         if ttl_ticks is not None and ttl_ticks < 1:
             raise ConfigError(f"ttl_ticks must be >= 1 or None, got {ttl_ticks}")
-        self._state_factory = state_factory
         self.capacity = capacity
         self.ttl_ticks = ttl_ticks
         self.lru_evict = lru_evict
@@ -130,10 +113,6 @@ class SessionStore:
                 self.on_evict(victim, "lru")
         record = SessionRecord(
             session_id=session_id,
-            state=(
-                self._state_factory() if self._state_factory is not None
-                else None
-            ),
             created_tick=tick,
             last_active_tick=tick,
         )

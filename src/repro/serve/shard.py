@@ -9,15 +9,12 @@ door, preserving the original API verbatim), and N shards compose into
 a :class:`repro.serve.cluster.ShardedServer` that routes sessions
 across them.
 
-State residency: by default every session is pinned to one slot of a
+State residency: every session is pinned to one slot of a
 preallocated :class:`~repro.serve.arena.StateArena` for its whole
 lifetime, and each tick advances the dispatched slots through the
-engine's masked in-place step — the per-tick ``gather_states`` /
-``scatter_states`` copy pair of the original serving layer collapses to
-one slot write on join and one slot read on leave/checkpoint.
-``EngineShard(state_arena=False)`` keeps the gather/scatter path, which
-also remains the checkpoint mechanism (:meth:`session_state` /
-:meth:`restore_session_state`).
+engine's masked in-place step — session state is copied exactly once on
+join (slot write) and once on leave/checkpoint (slot read:
+:meth:`session_state` / :meth:`restore_session_state`).
 
 Checkpoint/migration surface (the sharded cluster's rebalancing
 primitive): :meth:`checkpoint_session` / :meth:`restore_session` carry a
@@ -34,9 +31,9 @@ Correctness contract (pinned by ``tests/test_serve_microbatch.py`` and
 ``tests/test_serve_arena.py``): stepping K sessions through the
 micro-batcher is numerically identical (<= 1e-10 in float64) to
 stepping each session alone through the unbatched engine, *including*
-when sessions join and leave mid-stream — the batch membership may
-differ on every tick — and the arena path matches the gather/scatter
-path under arbitrary join/leave/evict churn.  Traffic accounting keeps
+when sessions join and leave mid-stream under arbitrary
+join/leave/evict churn — the batch membership may differ on every
+tick.  Traffic accounting keeps
 PR 1's batched-words convention: each dispatched tick logs the one-step
 message pattern with every event's words scaled by that tick's batch
 occupancy.
@@ -49,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import TiledEngine, gather_states, scatter_states
+from repro.core.engine import TiledEngine
 from repro.dnc.numpy_ref import NumpyDNCState
 from repro.errors import CapacityError, ConfigError
 from repro.obs import PHASES, PhaseTimer, Tracer
@@ -80,7 +77,6 @@ class EngineShard:
         queue_capacity: int = 1024,
         session_capacity: int = 64,
         session_ttl_ticks: Optional[int] = None,
-        state_arena: bool = True,
         metrics: Optional[ServerMetrics] = None,
         tracer: Optional[Tracer] = None,
         profiler: Optional[PhaseTimer] = None,
@@ -105,24 +101,20 @@ class EngineShard:
             max_wait_ticks=max_wait_ticks,
             queue_capacity=queue_capacity,
         )
-        #: Resident slot-pinned state (default), or ``None`` on the
-        #: gather/scatter fallback path where each record owns its state.
-        self.arena: Optional[StateArena] = (
-            StateArena(engine.initial_state, capacity=session_capacity)
-            if state_arena else None
+        #: Resident slot-pinned state: one arena row per session.
+        self.arena = StateArena(
+            engine.initial_state, capacity=session_capacity
         )
         self.store = SessionStore(
-            state_factory=None if state_arena else engine.initial_state,
             capacity=session_capacity,
             ttl_ticks=session_ttl_ticks,
             on_evict=self._on_evict,
         )
-        # Reused every tick (one row per arena slot, or per batch lane on
-        # the fallback path) instead of a fresh np.stack allocation.
-        input_size = engine.reference.config.input_size
-        buf_rows = session_capacity if state_arena else max_batch
+        # Reused every tick (one row per arena slot) instead of a fresh
+        # np.stack allocation.
         self._x_buf = np.zeros(
-            (buf_rows, input_size), dtype=engine.config.np_dtype
+            (session_capacity, engine.reference.config.input_size),
+            dtype=engine.config.np_dtype,
         )
         self.tick = 0
         self._session_counter = 0
@@ -165,8 +157,7 @@ class EngineShard:
             self.metrics.evictions_ttl += 1
         else:
             self.metrics.evictions_lru += 1
-        if self.arena is not None:
-            self.arena.release(session_id)
+        self.arena.release(session_id)
         self._fail_queued(session_id, f"session evicted ({reason})")
 
     def _fail_queued(self, session_id: str, error: str) -> None:
@@ -196,11 +187,10 @@ class EngineShard:
         except CapacityError:
             self.metrics.admission_rejects += 1
             return None
-        if self.arena is not None:
-            # Join: the session's single slot write (a zeroed initial
-            # state); its state never moves again until it leaves.
-            self.arena.bind(session_id)
-            self.metrics.observe_state_copy(self.arena.row_nbytes)
+        # Join: the session's single slot write (a zeroed initial
+        # state); its state never moves again until it leaves.
+        self.arena.bind(session_id)
+        self.metrics.observe_state_copy(self.arena.row_nbytes)
         self.metrics.sessions_opened += 1
         return session_id
 
@@ -208,24 +198,19 @@ class EngineShard:
         """Drop a session's state; queued requests fail with an error."""
         self._fail_queued(session_id, "session closed")
         self.store.remove(session_id)
-        if self.arena is not None:
-            self.arena.release(session_id)
+        self.arena.release(session_id)
         self.metrics.sessions_closed += 1
 
     # ------------------------------------------------------------------
     def session_state(self, session_id: str) -> NumpyDNCState:
         """Copy of a session's current recurrent state (checkpoint read).
 
-        The arena path's "read one slot on leave/drain"; on the fallback
-        path this copies the record's unbatched state.  The returned
-        state owns its arrays and can be fed to
-        :meth:`restore_session_state` (here or on another shard with
-        the same engine config) or to the engine's unbatched step.
+        The arena's "read one slot on leave/drain".  The returned state
+        owns its arrays and can be fed to :meth:`restore_session_state`
+        (here or on another shard with the same engine config) or to
+        the engine's unbatched step.
         """
-        if self.arena is not None:
-            state = self.arena.read_slot(session_id)
-        else:
-            state = self.store.get(session_id).state.copy()
+        state = self.arena.read_slot(session_id)
         self.metrics.observe_state_copy(state.nbytes)
         return state
 
@@ -233,24 +218,7 @@ class EngineShard:
         self, session_id: str, state: NumpyDNCState
     ) -> None:
         """Overwrite a session's recurrent state from a checkpoint."""
-        if self.arena is not None:
-            self.arena.write_slot(session_id, state)
-        else:
-            record = self.store.get(session_id)
-            if state.batch_size is not None:
-                raise ConfigError(
-                    "restore_session_state expects an unbatched state"
-                )
-            for name in NumpyDNCState.FIELDS:
-                src = getattr(state, name)
-                cur = getattr(record.state, name)
-                if src.shape != cur.shape or src.dtype != cur.dtype:
-                    raise ConfigError(
-                        f"restore_session_state: field {name!r} has shape "
-                        f"{src.shape} dtype {src.dtype}, expected "
-                        f"{cur.shape} {cur.dtype}"
-                    )
-            record.state = state.copy()
+        self.arena.write_slot(session_id, state)
         self.metrics.observe_state_copy(state.nbytes)
 
     # ------------------------------------------------------------------
@@ -297,8 +265,7 @@ class EngineShard:
         payload = self.checkpoint_session(session_id)
         pending = self.batcher.drop_session(session_id)
         self.store.remove(session_id)
-        if self.arena is not None:
-            self.arena.release(session_id)
+        self.arena.release(session_id)
         self.metrics.migrations_out += 1
         return payload, pending
 
@@ -331,8 +298,7 @@ class EngineShard:
         self.store.create(
             session_id, self.tick, protect=self.batcher.pending_sessions()
         )
-        if self.arena is not None:
-            self.arena.bind(session_id)
+        self.arena.bind(session_id)
         self.restore_session_state(session_id, state)
         if pending:
             self.batcher.adopt(session_id, list(pending))
@@ -430,13 +396,10 @@ class EngineShard:
 
         One tick = at most one batched engine step: expire idle sessions,
         ask the batcher for a dispatchable batch, and run the shared
-        engine once over the member sessions.  On the arena path the
-        dispatched sessions' slots advance *in place* through the
-        engine's masked step (zero state copies when every slot
-        dispatches); on the fallback path the member states are gathered
-        into a fresh batch and scattered back.  Either way the batch row
-        order is dispatch order, so both paths compute bit-identical
-        results.
+        engine once over the member sessions.  The dispatched sessions'
+        arena slots advance *in place* through the engine's masked step
+        (zero state copies when every slot dispatches); batch row order
+        is dispatch order.
 
         With a tracer attached the tick emits a ``shard.tick`` span —
         parented on ``trace`` (the cluster's tick context, possibly from
@@ -476,7 +439,7 @@ class EngineShard:
             )
             tick_span.t_start = t0_tick
 
-        if live and self.arena is not None:
+        if live:
             slots = self.arena.indices([r.session_id for r in live])
             for slot, request in zip(slots, live):
                 self._x_buf[slot] = request.x  # casts to the dtype policy
@@ -499,32 +462,6 @@ class EngineShard:
                 self.metrics.observe_wait(tick - request.submitted_tick)
                 self.metrics.requests_completed += 1
                 self.metrics.observe_tenant(request.session_id)
-        elif live:
-            records = [self.store.get(r.session_id) for r in live]
-            batched_state = gather_states([rec.state for rec in records])
-            xs = self._x_buf[: len(live)]
-            for i, request in enumerate(live):
-                xs[i] = request.x
-            y, new_batched = self._traced_engine_step(
-                tick_span, lambda: self.engine.step(xs, batched_state)
-            )
-            new_states = scatter_states(new_batched)
-            self.metrics.observe_state_copy(
-                batched_state.nbytes + new_batched.nbytes
-            )
-            for i, request in enumerate(live):
-                record = self.store.touch(request.session_id, tick)
-                record.state = new_states[i]
-                record.steps_completed += 1
-                # .copy(), not ascontiguousarray (a view of a contiguous
-                # row): each result must own its data, not alias the
-                # shared batched output buffer.
-                request.y = y[i].copy()
-                request.completed_tick = tick
-                self.metrics.observe_wait(tick - request.submitted_tick)
-                self.metrics.requests_completed += 1
-                self.metrics.observe_tenant(request.session_id)
-
         if tracer is not None:
             t_done = time.perf_counter()
             for request in live:
@@ -544,8 +481,7 @@ class EngineShard:
                 tracer.end(tick_span, occupancy=len(live))
 
         self.metrics.observe_occupancy(len(live))
-        if self.arena is not None:
-            self.metrics.observe_slots(self.arena.occupancy)
+        self.metrics.observe_slots(self.arena.occupancy)
         self.tick = tick + 1
         return batch
 

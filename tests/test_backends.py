@@ -294,14 +294,9 @@ class TestTunedNumerics:
             {},
             {"distributed": True},
             {"access_policy": "sparse", "access_top_k": 12},
-            {"fused_write_linkage": False},
-            {"read_phase_fused": False},
             {"two_stage_sort": True},
         ],
-        ids=[
-            "dense", "distributed", "sparse", "unfused", "read_unfused",
-            "two_stage",
-        ],
+        ids=["dense", "distributed", "sparse", "two_stage"],
     )
     def test_trajectory_within_tolerance(self, dtype, features):
         """Randomized trajectories across engine modes, both CPU dtypes."""
@@ -392,7 +387,6 @@ class TestTunedNumerics:
         read_w = gen.random((3, 2, n)) * 0.05
         ref_f, ref_b = ReferenceBackend().forward_backward(linkage, read_w)
         tuned = TunedBackend()
-        assert tuned.read_fused
         fwd, bwd = tuned.forward_backward(linkage, read_w)
         assert float(np.max(np.abs(fwd - ref_f))) <= TOLERANCES["float64"]
         assert float(np.max(np.abs(bwd - ref_b))) <= TOLERANCES["float64"]
@@ -439,30 +433,12 @@ class TestTunedNumerics:
         got = TunedBackend().read_weight_mix(content, fwd, bwd, modes)
         assert np.array_equal(got, ref)
 
-    def test_read_unfused_flag_restores_reference_read_path(self):
-        """``read_phase_fused=False`` must route the tuned backend's
-        read phase through the inherited reference kernels bitwise, and
-        report the classic label/passes for profiling."""
-        config = HiMAConfig(**BLOCKED_CONFIG, backend="tuned",
-                            read_phase_fused=False)
-        backend = make_backend(config)
-        assert not backend.read_fused
-        assert backend.read_phase_label == "read"
-        assert backend.read_linkage_passes == 2
-        gen = np.random.default_rng(11)
-        n = TunedBackend.min_blocked_n * 2
-        linkage = gen.standard_normal((2, n, n)) * 0.01
-        read_w = gen.random((2, 2, n)) * 0.05
-        ref = ReferenceBackend().forward_backward(linkage, read_w)
-        got = backend.forward_backward(linkage, read_w)
-        for e, g in zip(ref, got):
-            assert np.array_equal(e, g)
-
-    def test_fused_read_reports_phase_label(self):
-        backend = make_backend(HiMAConfig(**BLOCKED_CONFIG, backend="tuned"))
-        assert backend.read_fused
-        assert backend.read_phase_label == "read_phase"
-        assert backend.read_linkage_passes == 1
+    def test_fused_read_reports_single_linkage_pass(self):
+        """The profiler's read-bytes model: the fused sweep streams the
+        linkage once, the reference matvec pair twice."""
+        for name, passes in (("tuned", 1), ("reference", 2)):
+            backend = make_backend(HiMAConfig(**BLOCKED_CONFIG, backend=name))
+            assert backend.read_linkage_passes == passes
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +462,7 @@ class TestServeChurnTunedBackend:
         requests = {}
         with SessionServer(
             engine, max_batch=4, max_wait_ticks=1,
-            session_capacity=8, state_arena=True,
+            session_capacity=8,
         ) as server:
             for sid in inputs:
                 assert server.open_session(sid) == sid

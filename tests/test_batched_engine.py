@@ -151,25 +151,6 @@ class TestEngineBatching:
 
 
 class TestRunnerTrafficHygiene:
-    def test_measure_batched_throughput_clears_traffic(self, monkeypatch):
-        """Warm-up, timing repeats, and the equivalence check must not
-        leak events into the engine's TrafficLog."""
-        import repro.core.engine as engine_mod
-        from repro.eval.runners import measure_batched_throughput
-
-        captured = {}
-        real_engine = engine_mod.TiledEngine
-
-        class CapturingEngine(real_engine):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                captured["engine"] = self
-
-        monkeypatch.setattr(engine_mod, "TiledEngine", CapturingEngine)
-        result = measure_batched_throughput(batch_size=2, seq_len=2, repeats=2)
-        assert result.speedup_vs_seq > 0
-        assert captured["engine"].traffic.events == []
-
     def test_traffic_docs_contract_run_accumulates(self, rng):
         """run/run_batch append cumulatively; clear() is the caller's job."""
         engine = TiledEngine(engine_config(), rng=0)

@@ -157,8 +157,12 @@ class TestEngineIntegration:
             distributed=distributed, dtype=dtype,
         )
         fused_engine = TiledEngine(HiMAConfig(**base), rng=0)
-        legacy_engine = TiledEngine(
-            HiMAConfig(**base, fused_write_linkage=False), rng=0
+        # The oracle: the same engine with its write kernel swapped for
+        # the three-pass numpy_ref form.
+        legacy_engine = TiledEngine(HiMAConfig(**base), rng=0)
+        legacy_engine.backend.fused_erase_write_linkage = (
+            lambda m, l, p, w, e, v, active=None, workspace=None:
+            three_pass(m, l, p, w, e, v)
         )
         xs = rng.standard_normal((5, 16)).astype(dtype)
         assert np.array_equal(fused_engine.run(xs), legacy_engine.run(xs))
@@ -172,6 +176,5 @@ class TestEngineIntegration:
             memory_size=32, word_size=16, num_reads=2, num_tiles=4,
             hidden_size=32, two_stage_sort=False,
         ), rng=0)
-        assert engine.config.fused_write_linkage  # the default
         assert engine.verify_against_reference(steps=3) <= 1e-9
         assert engine.verify_against_reference(steps=3, batch_size=3) <= 1e-10

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import HiMAConfig
-from repro.core.engine import TiledEngine, gather_states, scatter_states
+from repro.core.engine import TiledEngine
 from repro.dnc.numpy_ref import NumpyDNCState
 from repro.errors import ConfigError
 
@@ -53,7 +53,7 @@ def test_masked_step_matches_gather_scatter(dtype, distributed, rng):
     b = 6
     arena = warmed_state(engine, rng, b)
     snapshot = copy_state(arena)
-    sessions = scatter_states(copy_state(arena))
+    sessions = copy_state(arena).unstack()
     x = rng.standard_normal((b, 16)).astype(dtype)
 
     idx = np.array([4, 1, 3])  # dispatch order, deliberately not sorted
@@ -61,9 +61,9 @@ def test_masked_step_matches_gather_scatter(dtype, distributed, rng):
     assert out is arena  # in place: the same state object
 
     # Reference: gather the same rows in the same order, step, scatter.
-    ref_batched = gather_states([sessions[i] for i in idx])
+    ref_batched = NumpyDNCState.stack([sessions[i] for i in idx])
     y_ref, new_ref = engine.step(x[idx], ref_batched)
-    ref_rows = scatter_states(new_ref)
+    ref_rows = new_ref.unstack()
     for k, i in enumerate(idx):
         assert np.array_equal(y[i], y_ref[k])
         for name in NumpyDNCState.FIELDS:
@@ -106,14 +106,14 @@ def test_permuted_full_dispatch_is_dense_and_matches_gather_scatter(dtype, rng):
     engine = make_engine(dtype=dtype)
     b = 5
     arena = warmed_state(engine, rng, b)
-    sessions = scatter_states(copy_state(arena))
+    sessions = copy_state(arena).unstack()
     x = rng.standard_normal((b, 16)).astype(dtype)
     idx = np.array([3, 0, 4, 2, 1])
     y, _ = engine.step(x, arena, active=idx)
     assert engine.last_state_bytes_copied == 0  # dense path despite order
-    ref_batched = gather_states([sessions[i] for i in idx])
+    ref_batched = NumpyDNCState.stack([sessions[i] for i in idx])
     y_ref, new_ref = engine.step(x[idx], ref_batched)
-    ref_rows = scatter_states(new_ref)
+    ref_rows = new_ref.unstack()
     for k, i in enumerate(idx):
         assert np.array_equal(y[i], y_ref[k])
         for name in NumpyDNCState.FIELDS:
@@ -132,16 +132,9 @@ class TestDensePartialOccupancyPath:
     @pytest.mark.parametrize(
         "dtype,tol", [("float64", 1e-10), ("float32", 1e-4)]
     )
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
-    def test_dense_partial_matches_compact_path(self, dtype, tol, fused, rng):
-        dense = make_engine(
-            dtype=dtype, fused_write_linkage=fused,
-            masked_dense_min_occupancy=0.0,
-        )
-        compact = make_engine(
-            dtype=dtype, fused_write_linkage=fused,
-            masked_dense_min_occupancy=1.0,
-        )
+    def test_dense_partial_matches_compact_path(self, dtype, tol, rng):
+        dense = make_engine(dtype=dtype, masked_dense_min_occupancy=0.0)
+        compact = make_engine(dtype=dtype, masked_dense_min_occupancy=1.0)
         b = 6
         arena_dense = warmed_state(dense, rng, b)
         arena_compact = copy_state(arena_dense)

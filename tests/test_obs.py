@@ -27,7 +27,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.backend import available_backends, make_backend
+from repro.core.backend import available_backends
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
 from repro.obs import (
@@ -36,7 +36,6 @@ from repro.obs import (
     FlightRecorder,
     PhaseTimer,
     Tracer,
-    engine_phases,
     render_span_tree,
     validate_metrics_json,
     validate_trace_jsonl,
@@ -213,9 +212,8 @@ class TestPhaseTimer:
         The bar that makes the per-phase breakdown trustworthy: at
         serving scale the engine step *is* its phases, so the sum of
         attributed phase seconds must essentially equal the measured
-        step time — under every registered backend, including the ones
-        whose fused read kernel reports as ``read_phase``.  (Failing
-        this means a meaningful slice of the step runs outside any
+        step time — under every registered backend.  (Failing this
+        means a meaningful slice of the step runs outside any
         phase bracket.)
         """
         import time
@@ -236,8 +234,7 @@ class TestPhaseTimer:
         engine.run(inputs)
         wall = time.perf_counter() - start
         attributed = engine.profiler.total_seconds()
-        expected = engine_phases(engine.backend.read_phase_label)
-        assert set(engine.profiler.stats()) <= set(expected)
+        assert set(engine.profiler.stats()) <= set(PHASES)
         assert attributed >= 0.90 * wall
         engine.profiler = None
 
@@ -307,10 +304,7 @@ class TestTracedServing:
         records = server.tracer.records()
         names = _by_name(records)
         assert {"shard.submit", "shard.dispatch", "shard.tick", "engine.step"} <= set(names)
-        # The emitted phase labels follow the engine's backend (the
-        # fused-read backends report "read_phase" instead of "read").
-        expected_phases = engine_phases(engine.backend.read_phase_label)
-        assert {f"engine.phase:{p}" for p in expected_phases} <= set(names)
+        assert {f"engine.phase:{p}" for p in PHASES} <= set(names)
         _assert_connected(records)
         # Each dispatch covers its request's full queue->done interval,
         # parented on that request's submit span.
@@ -382,8 +376,7 @@ class TestTracedServing:
         frontend_traces = {r["trace_id"] for r in names["frontend.submit"]}
         assert {r["trace_id"] for r in names["shard.submit"]} <= frontend_traces
         _assert_connected(records)
-        expected_phases = engine_phases(make_backend(config).read_phase_label)
-        assert {f"engine.phase:{p}" for p in expected_phases} <= set(names)
+        assert {f"engine.phase:{p}" for p in PHASES} <= set(names)
         assert sum(entry["seconds"] for entry in profile.values()) > 0.0
 
         path = tmp_path / "trace.jsonl"

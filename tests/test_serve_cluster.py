@@ -184,30 +184,6 @@ class TestClusterNumericalIdentity:
         for sid in outs[False]:
             assert np.array_equal(outs[False][sid], outs[True][sid]), sid
 
-    def test_thread_per_shard_pool_bitwise_matches_sequential(self, rng):
-        """An explicit ``parallel_workers`` width (thread-per-shard, the
-        proc-bench baseline topology) changes scheduling only, never
-        results."""
-        scripts = [
-            scripted(f"s{i}", 0, rng.standard_normal((5, 16)))
-            for i in range(6)
-        ]
-        outs = {}
-        for workers in (None, 3):
-            cluster = make_cluster(3, parallel=True, parallel_workers=workers)
-            results = run_open_loop(cluster, scripts)
-            cluster.close()
-            outs[workers] = {
-                sid: np.stack([r.y for r in reqs])
-                for sid, reqs in results.items()
-            }
-        for sid in outs[None]:
-            assert np.array_equal(outs[None][sid], outs[3][sid]), sid
-
-    def test_parallel_workers_validated(self):
-        with pytest.raises(ConfigError, match="parallel_workers"):
-            make_cluster(2, parallel=True, parallel_workers=0)
-
 
 # ---------------------------------------------------------------------------
 # Checkpoint-based migration

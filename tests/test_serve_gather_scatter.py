@@ -1,7 +1,7 @@
-"""gather_states / scatter_states and state (de)serialization.
+"""``NumpyDNCState.stack`` / ``unstack`` and state (de)serialization.
 
 Property-style coverage for the serving layer's packing and checkpoint
-primitives: ``scatter_states(gather_states(states))`` must reproduce
+primitives: ``NumpyDNCState.stack(states).unstack()`` must reproduce
 the inputs *bitwise* (not merely within tolerance) for both dtype
 policies and across memory sizes; gathering changing subsets of a
 session population must never perturb non-members; and
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import HiMAConfig
-from repro.core.engine import TiledEngine, gather_states, scatter_states
+from repro.core.engine import TiledEngine
 from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig, NumpyDNCState
 from repro.errors import ConfigError
 
@@ -53,7 +53,7 @@ def test_roundtrip_is_bitwise(dtype, memory_size, k, rng):
         })
         for s in states
     ]
-    recovered = scatter_states(gather_states(states))
+    recovered = NumpyDNCState.stack(states).unstack()
     assert len(recovered) == k
     for orig, out in zip(originals, recovered):
         assert states_equal_bitwise(orig, out)
@@ -66,11 +66,11 @@ def test_gather_is_copy_not_view(dtype, rng):
         num_reads=2, hidden_size=12, dtype=dtype,
     ), rng=0)
     states = [random_state(model, rng) for _ in range(3)]
-    batched = gather_states(states)
+    batched = NumpyDNCState.stack(states)
     before = states[1].memory.copy()
     batched.memory[1] += 1.0
     assert np.array_equal(states[1].memory, before)
-    recovered = scatter_states(batched)
+    recovered = batched.unstack()
     batched_before = batched.usage[0].copy()
     recovered[0].usage[...] = -7.0
     assert np.array_equal(batched.usage[0], batched_before)
@@ -96,10 +96,10 @@ def test_ragged_membership_leaves_nonmembers_untouched(rng):
             })
             for i in range(4)
         }
-        batched = gather_states([states[i] for i in members])
+        batched = NumpyDNCState.stack([states[i] for i in members])
         _, new_batched = engine.step(xs, batched)
         for slot, i in enumerate(members):
-            states[i] = scatter_states(new_batched)[slot]
+            states[i] = new_batched.unstack()[slot]
         for i in range(4):
             if i not in members:
                 assert states_equal_bitwise(states[i], snapshot[i]), (step, i)
@@ -171,11 +171,11 @@ class TestValidation:
 
     def test_empty_gather_rejected(self):
         with pytest.raises(ConfigError):
-            gather_states([])
+            NumpyDNCState.stack([])
 
     def test_batched_input_rejected(self):
         with pytest.raises(ConfigError):
-            gather_states([self.model.initial_state(batch_size=2)])
+            NumpyDNCState.stack([self.model.initial_state(batch_size=2)])
 
     def test_mismatched_shapes_rejected(self):
         other = NumpyDNC(NumpyDNCConfig(
@@ -183,7 +183,9 @@ class TestValidation:
             num_reads=2, hidden_size=12,
         ), rng=0)
         with pytest.raises(ConfigError):
-            gather_states([self.model.initial_state(), other.initial_state()])
+            NumpyDNCState.stack(
+                [self.model.initial_state(), other.initial_state()]
+            )
 
     def test_mismatched_dtypes_rejected(self):
         f32 = NumpyDNC(NumpyDNCConfig(
@@ -191,8 +193,10 @@ class TestValidation:
             num_reads=2, hidden_size=12, dtype="float32",
         ), rng=0)
         with pytest.raises(ConfigError):
-            gather_states([self.model.initial_state(), f32.initial_state()])
+            NumpyDNCState.stack(
+                [self.model.initial_state(), f32.initial_state()]
+            )
 
     def test_scatter_of_unbatched_rejected(self):
         with pytest.raises(ConfigError):
-            scatter_states(self.model.initial_state())
+            self.model.initial_state().unstack()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig
 from repro.errors import CapacityError, ConfigError
 from repro.serve import MicroBatcher, ServerMetrics, SessionStore
 from repro.serve.loadgen import (
@@ -15,20 +14,10 @@ from repro.serve.loadgen import (
 from repro.serve.metrics import _percentile_from_histogram
 
 
-@pytest.fixture
-def state_factory():
-    model = NumpyDNC(NumpyDNCConfig(
-        input_size=5, output_size=3, memory_size=8, word_size=4,
-        num_reads=2, hidden_size=12,
-    ), rng=0)
-    return model.initial_state
-
-
 class TestSessionStore:
-    def test_create_get_touch_remove(self, state_factory):
-        store = SessionStore(state_factory, capacity=4)
+    def test_create_get_touch_remove(self):
+        store = SessionStore(capacity=4)
         record = store.create("a", tick=0)
-        assert record.state.batch_size is None
         assert "a" in store and len(store) == 1
         store.touch("a", tick=5)
         assert store.get("a").last_active_tick == 5
@@ -37,30 +26,30 @@ class TestSessionStore:
         with pytest.raises(ConfigError):
             store.get("a")
 
-    def test_duplicate_create_rejected(self, state_factory):
-        store = SessionStore(state_factory, capacity=4)
+    def test_duplicate_create_rejected(self):
+        store = SessionStore(capacity=4)
         store.create("a", tick=0)
         with pytest.raises(ConfigError):
             store.create("a", tick=1)
 
-    def test_ttl_eviction(self, state_factory):
-        store = SessionStore(state_factory, capacity=4, ttl_ticks=3)
+    def test_ttl_eviction(self):
+        store = SessionStore(capacity=4, ttl_ticks=3)
         store.create("a", tick=0)
         store.create("b", tick=0)
         store.touch("b", tick=4)
         assert store.evict_expired(tick=4) == ["a"]  # idle 4 > ttl 3
         assert "a" not in store and "b" in store
 
-    def test_ttl_protects_pending_sessions(self, state_factory):
-        store = SessionStore(state_factory, capacity=4, ttl_ticks=1)
+    def test_ttl_protects_pending_sessions(self):
+        store = SessionStore(capacity=4, ttl_ticks=1)
         store.create("a", tick=0)
         assert store.evict_expired(tick=10, protect={"a"}) == []
         assert "a" in store
 
-    def test_lru_eviction_on_full_create(self, state_factory):
+    def test_lru_eviction_on_full_create(self):
         evicted = []
         store = SessionStore(
-            state_factory, capacity=2,
+            capacity=2,
             on_evict=lambda sid, reason: evicted.append((sid, reason)),
         )
         store.create("a", tick=0)
@@ -70,23 +59,23 @@ class TestSessionStore:
         assert evicted == [("b", "lru")]
         assert store.ids() == ["a", "c"]
 
-    def test_full_store_without_lru_raises(self, state_factory):
-        store = SessionStore(state_factory, capacity=1, lru_evict=False)
+    def test_full_store_without_lru_raises(self):
+        store = SessionStore(capacity=1, lru_evict=False)
         store.create("a", tick=0)
         with pytest.raises(CapacityError):
             store.create("b", tick=1)
 
-    def test_protected_sessions_never_lru_victims(self, state_factory):
-        store = SessionStore(state_factory, capacity=2)
+    def test_protected_sessions_never_lru_victims(self):
+        store = SessionStore(capacity=2)
         store.create("a", tick=0)
         store.create("b", tick=1)
         with pytest.raises(CapacityError):
             store.create("c", tick=2, protect={"a", "b"})
 
-    def test_create_prefers_ttl_then_lru(self, state_factory):
+    def test_create_prefers_ttl_then_lru(self):
         evicted = []
         store = SessionStore(
-            state_factory, capacity=2, ttl_ticks=2,
+            capacity=2, ttl_ticks=2,
             on_evict=lambda sid, reason: evicted.append((sid, reason)),
         )
         store.create("a", tick=0)
@@ -94,11 +83,11 @@ class TestSessionStore:
         store.create("c", tick=10)  # a expired (idle 10 > 2) -> ttl, not lru
         assert evicted == [("a", "ttl")]
 
-    def test_config_validation(self, state_factory):
+    def test_config_validation(self):
         with pytest.raises(ConfigError):
-            SessionStore(state_factory, capacity=0)
+            SessionStore(capacity=0)
         with pytest.raises(ConfigError):
-            SessionStore(state_factory, ttl_ticks=0)
+            SessionStore(ttl_ticks=0)
 
 
 class TestMicroBatcher:
