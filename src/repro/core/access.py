@@ -295,6 +295,9 @@ class SparseAccess(AccessPolicy):
 
     def __init__(self, config: HiMAConfig):
         self.top_k = int(config.access_top_k)
+        # ``(read_w, idx, vals)`` handed from read_weights to the
+        # read_vectors call of the same step; never outlives a tick.
+        self._read_support = None
 
     def support_rows(self, engine) -> int:
         return min(self.top_k, engine.config.memory_size)
@@ -420,7 +423,7 @@ class SparseAccess(AccessPolicy):
         # weights' support: the weights are non-negative with at most K
         # nonzeros per head (read truncation), so the dropped terms are
         # exact zeros.  The policy owns the support selection; the
-        # ≤2K-row gather/contract kernel lives on the backend seam.
+        # row-major gather/contract kernel lives on the backend seam.
         idx = _topk_largest(prev_read_w, self.top_k)
         vals = np.take_along_axis(prev_read_w, idx, axis=-1)
         return engine.backend.sparse_forward_backward(linkage, vals, idx)
@@ -434,13 +437,20 @@ class SparseAccess(AccessPolicy):
         vals = np.take_along_axis(read_w, idx, axis=-1)
         out = np.zeros_like(read_w)
         np.put_along_axis(out, idx, vals, axis=-1)
+        self._read_support = (out, idx, vals)
         return out
 
     def read_vectors(self, engine, memory, read_w, log, b):
         cfg = engine.config
         ct = engine.memory_map.ct_node
-        idx = _topk_largest(read_w, self.top_k)
-        vals = np.take_along_axis(read_w, idx, axis=-1)
+        # The support read_weights just selected is the support of the
+        # array it returned; reselect only for any other array.
+        support, self._read_support = self._read_support, None
+        if support is not None and support[0] is read_w:
+            _, idx, vals = support
+        else:
+            idx = _topk_largest(read_w, self.top_k)
+            vals = np.take_along_axis(read_w, idx, axis=-1)
         read_vecs = engine.backend.sparse_read_vectors(memory, vals, idx)
         for t in range(cfg.num_tiles):
             log.add("memory_read", t, ct, b * cfg.num_reads * cfg.word_size)

@@ -12,9 +12,11 @@ path dispatches through it.
 
 Three backends ship:
 
-* ``reference`` — the verbatim numpy path.  Every method delegates to
-  the exact pre-seam code, so all existing bitwise / <=1e-10 bars keep
-  holding unchanged.
+* ``reference`` — the verbatim numpy path.  Every dense method
+  delegates to the exact pre-seam code, so all existing bitwise /
+  <=1e-10 bars keep holding unchanged; the sparse forms are the shared
+  row-major kernels of :mod:`repro.core.kernels`, held to the
+  ``numpy_ref`` oracle.
 * ``tuned`` — a pure-numpy CPU backend that wins on bandwidth-bound
   configs while staying **bitwise identical** to ``reference``: the
   linkage update is cache-blocked over row panels (one read + one write
@@ -83,8 +85,12 @@ class KernelBackend:
     Subclasses override the kernel methods; the contracts (shapes,
     ufunc-order bitwise guarantees, ``active``/``workspace``/``scratch``
     semantics) are those of the :mod:`repro.core.kernels` functions each
-    method shadows.  The base class supplies the numpy batched argsort
-    every CPU backend shares.
+    method shadows.  The base class supplies what every CPU backend
+    shares: the numpy batched argsort, the sparse kernels, and the
+    per-instance scratch dict those kernels (and the tuned backend's
+    panels) keep their reused buffers in — so a subclass ``__init__``
+    must call ``super().__init__()``, and one instance must never be
+    driven from two threads at once.
     """
 
     #: Registry name; set by subclasses.
@@ -98,6 +104,20 @@ class KernelBackend:
     #: :func:`repro.core.kernels.phase_touched_bytes` read model so the
     #: profiler's bytes column reflects what the kernel actually moves.
     read_linkage_passes = 2
+
+    def __init__(self):
+        #: Resident scratch, one dict per backend instance (and backends
+        #: are per-engine): the sparse kernels' two row buffers live
+        #: here, as do the tuned backend's panel temporaries.
+        self._scratch: Dict = {}
+
+    def _buf(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        key = (tag, shape, np.dtype(dtype).str)
+        held = self._scratch.get(key)
+        if held is None:
+            held = np.empty(shape, dtype=dtype)
+            self._scratch[key] = held
+        return held
 
     # -- content addressing ------------------------------------------------
     def write_scores(self, memory: np.ndarray, write_key: np.ndarray) -> np.ndarray:
@@ -164,7 +184,8 @@ class KernelBackend:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Delegates to the reference sparse kernel (already O(K·N))."""
         return SK.sparse_erase_write_linkage(
-            memory, linkage, precedence, write_w, erase, value
+            memory, linkage, precedence, write_w, erase, value,
+            scratch=self._scratch,
         )
 
     def sparse_erase_write_linkage_inplace(
@@ -178,7 +199,8 @@ class KernelBackend:
         active: Optional[np.ndarray] = None,
     ) -> None:
         SK.sparse_erase_write_linkage_inplace(
-            memory, linkage, precedence, write_w, erase, value, active=active
+            memory, linkage, precedence, write_w, erase, value,
+            active=active, scratch=self._scratch,
         )
 
     # -- read phase ----------------------------------------------------
@@ -268,10 +290,14 @@ class KernelBackend:
     # K-support sparse forms: ``vals``/``idx`` are the top-K read-weight
     # support from ``SparseAccess`` (O(R·K·N) / O(R·K·W) gather-bound
     # kernels — every CPU backend shares the numpy reference bodies).
+    # The forward/backward gathers and the sparse write phase share the
+    # instance's two row buffers in ``_scratch``.
     def sparse_forward_backward(
         self, linkage: np.ndarray, vals: np.ndarray, idx: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return SK.sparse_forward_backward(linkage, vals, idx)
+        return SK.sparse_forward_backward(
+            linkage, vals, idx, scratch=self._scratch
+        )
 
     def sparse_read_vectors(
         self, memory: np.ndarray, vals: np.ndarray, idx: np.ndarray
@@ -283,9 +309,10 @@ class ReferenceBackend(KernelBackend):
     """The verbatim pre-seam numpy path.
 
     Every method body is the exact code that lived inline in
-    ``DenseAccess``/``SparseAccess``/``TiledEngine._step_distributed``
-    before the backend layer, so dense and sparse trajectories are
-    bitwise-identical to the pre-refactor engine.
+    ``DenseAccess``/``TiledEngine._step_distributed`` before the backend
+    layer, so dense trajectories are bitwise-identical to the
+    pre-refactor engine.  The sparse forms are inherited from the base
+    class (one body for every CPU backend).
     """
 
     name = "reference"
@@ -393,17 +420,6 @@ class TunedBackend(ReferenceBackend):
     #: reference kernels: the N^2 field already fits in cache and the
     #: panel/scratch bookkeeping is pure overhead there.
     min_blocked_n = 128
-
-    def __init__(self):
-        self._scratch: Dict[Tuple, np.ndarray] = {}
-
-    def _buf(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        key = (tag, shape, np.dtype(dtype).str)
-        held = self._scratch.get(key)
-        if held is None:
-            held = np.empty(shape, dtype=dtype)
-            self._scratch[key] = held
-        return held
 
     def _panel_rows(self, linkage: np.ndarray) -> int:
         """Rows per linkage panel so one panel ~ :attr:`panel_bytes`."""

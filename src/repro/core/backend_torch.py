@@ -53,6 +53,7 @@ class TorchBackend(KernelBackend):
     supported_dtypes = ("float64", "float32", "float16", "bfloat16")
 
     def __init__(self, config):
+        super().__init__()
         self.device = torch.device(
             "cuda" if torch.cuda.is_available() else "cpu"
         )

@@ -349,6 +349,22 @@ def fused_erase_write_linkage(
     return new_memory, new_linkage, new_precedence
 
 
+def _scratch_rows(
+    scratch: Dict, key: str, rows: int, cols: int, dtype
+) -> np.ndarray:
+    """C-contiguous ``(rows, cols)`` view of the flat buffer ``scratch[key]``.
+
+    The buffer only ever grows (and is replaced on a dtype change), so a
+    caller that keeps ``scratch`` between calls allocates nothing once
+    the largest support it sees has been served.
+    """
+    held = scratch.get(key)
+    if held is None or held.dtype != dtype or held.size < rows * cols:
+        held = np.empty(rows * cols, dtype=dtype)
+        scratch[key] = held
+    return held[: rows * cols].reshape(rows, cols)
+
+
 def fused_erase_write_linkage_inplace(
     memory: np.ndarray,
     linkage: np.ndarray,
@@ -393,17 +409,9 @@ def fused_erase_write_linkage_inplace(
         return
     n = write_w.shape[-1]
     scratch = {} if scratch is None else scratch
-
-    def buf(key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        held = scratch.get(key)
-        if held is None or held.shape != shape or held.dtype != dtype:
-            held = np.empty(shape, dtype=dtype)
-            scratch[key] = held
-        return held
-
-    mw = buf("mw", memory.shape[-2:], memory.dtype)
-    nn = buf("nn", linkage.shape[-2:], linkage.dtype)
-    nn2 = buf("nn2", linkage.shape[-2:], linkage.dtype)
+    mw = _scratch_rows(scratch, "mw", *memory.shape[-2:], memory.dtype)
+    nn = _scratch_rows(scratch, "nn", n, n, linkage.dtype)
+    nn2 = _scratch_rows(scratch, "nn2", n, n, linkage.dtype)
     erase_b = np.broadcast_to(erase, write_w.shape[:-1] + erase.shape[-1:])
     value_b = np.broadcast_to(value, write_w.shape[:-1] + value.shape[-1:])
     diag = np.arange(n)
@@ -437,6 +445,7 @@ def sparse_erase_write_linkage_inplace(
     erase: np.ndarray,
     value: np.ndarray,
     active: Optional[np.ndarray] = None,
+    scratch: Optional[Dict] = None,
 ) -> None:
     """K-row sparse write phase mutating the arrays in place.
 
@@ -457,13 +466,27 @@ def sparse_erase_write_linkage_inplace(
       whole matrix — the O(N^2) cost this kernel exists to avoid — so,
       following the sparse-memory literature, stale rows keep their
       outgoing links undecayed until their own next write.  This is the
-      kernel's *only* approximation; the benchmark reports its measured
-      trajectory cost as ``max/mean_abs_delta_vs_dense``.  At full
-      support (softmax support is all ``N`` slots when K = N) every row
-      is in ``S``, the skipped term is vacuous, and the kernel is
-      bitwise-identical to :func:`fused_erase_write_linkage`;
+      kernel's *only* approximation.  At full support (softmax support
+      is all ``N`` slots when K = N) every row is in ``S``, the skipped
+      term is vacuous, and the kernel is bitwise-identical to
+      :func:`fused_erase_write_linkage`;
     * precedence is a dense O(N) elementwise update (same as the fused
       kernel, bitwise), since it is never the hot term.
+
+    The linkage is walked row-major only: the ``S`` rows are gathered
+    into one ``(|S|, N)`` scratch buffer, the new rows are built in a
+    second one (which the ``w x p`` term then reuses the first for), and
+    whole rows are scattered back — no temporary above ``(|S|, W)`` is
+    allocated.
+
+    ``scratch`` — a dict the caller keeps between invocations so the two
+    row buffers (keys ``"sparse.rows"`` / ``"sparse.new"``, shared with
+    :func:`sparse_forward_backward`, at most ``min(2K, N) * N`` elements
+    each) are allocated once rather than per call.  The dict is owned by
+    exactly one caller at a time: the buffers hold live intermediates
+    for the duration of a call, so two threads must never pass the same
+    dict (the engine keeps one per backend instance, and backends are
+    per-engine).  Without it the buffers are allocated per call.
 
     Accepts unbatched ``(N, W)/(N, N)/(N,)`` state or batched
     ``(B, ...)``; ``active`` (int indices or bool mask over the leading
@@ -495,6 +518,8 @@ def sparse_erase_write_linkage_inplace(
             idx = np.flatnonzero(idx)
     if idx.size == 0:
         return
+    scratch = {} if scratch is None else scratch
+    n = write_w.shape[-1]
     erase_b = np.broadcast_to(erase, write_w.shape[:-1] + erase.shape[-1:])
     value_b = np.broadcast_to(value, write_w.shape[:-1] + value.shape[-1:])
     for s in idx:
@@ -511,11 +536,20 @@ def sparse_erase_write_linkage_inplace(
         mw += w_col * value_b[s][None, :]
         # Linkage: full row update for rows in S (snapshot first so the
         # formula reads pre-update values).  Rows outside S are left
-        # untouched — see the docstring's approximation note.
-        rows_old = link[support, :].copy()
-        new_rows = np.subtract(1.0 - w_col, w[None, :])
+        # untouched — see the docstring's approximation note.  The
+        # support comes from flatnonzero, so mode="clip" never clamps;
+        # it is what lets take write straight into ``out``.
+        rows_old = _scratch_rows(
+            scratch, "sparse.rows", support.size, n, link.dtype
+        )
+        new_rows = _scratch_rows(
+            scratch, "sparse.new", support.size, n, link.dtype
+        )
+        np.take(link, support, axis=0, out=rows_old, mode="clip")
+        np.subtract(1.0 - w_col, w[None, :], out=new_rows)
         new_rows *= rows_old
-        new_rows += w_col * p[None, :]
+        # rows_old is consumed; its buffer now carries the w x p term.
+        new_rows += np.multiply(w_col, p[None, :], out=rows_old)
         new_rows[np.arange(support.size), support] = 0.0
         link[support, :] = new_rows
         # Precedence reads old p; the linkage term above already
@@ -532,6 +566,7 @@ def sparse_erase_write_linkage(
     write_w: np.ndarray,
     erase: np.ndarray,
     value: np.ndarray,
+    scratch: Optional[Dict] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Non-mutating K-row sparse write phase.
 
@@ -546,7 +581,8 @@ def sparse_erase_write_linkage(
     new_linkage = linkage.copy()
     new_precedence = precedence.copy()
     sparse_erase_write_linkage_inplace(
-        new_memory, new_linkage, new_precedence, write_w, erase, value
+        new_memory, new_linkage, new_precedence, write_w, erase, value,
+        scratch=scratch,
     )
     return new_memory, new_linkage, new_precedence
 
@@ -557,27 +593,86 @@ def sparse_erase_write_linkage(
 
 
 def sparse_forward_backward(
-    linkage: np.ndarray, vals: np.ndarray, idx: np.ndarray
+    linkage: np.ndarray,
+    vals: np.ndarray,
+    idx: np.ndarray,
+    scratch: Optional[Dict] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Forward/backward matvecs over a top-K read-weight support.
 
     ``vals``/``idx`` are the ``(..., R, K)`` nonzero read-weight values
-    and their index-sorted memory-row indices (from
-    ``SparseAccess``'s top-K truncation).  Gathers the ≤K rows of the
-    linkage (and of its transpose) the support touches and contracts
-    over them — O(R·K·N) instead of the dense O(R·N^2) matmul pair.
-    The dropped terms are exact zeros, so at full support this matches
-    :func:`repro.dnc.numpy_ref.forward_backward` to rounding.
+    and their index-sorted memory-row indices (from ``SparseAccess``'s
+    top-K truncation).  Computes ``f = w_r L^T`` and ``b = w_r L`` over
+    the support only — O(R·K·N) instead of the dense O(R·N^2) matmul
+    pair.  The dropped terms are exact zeros, so this matches
+    :func:`repro.dnc.numpy_ref.forward_backward` on the scattered dense
+    weights to rounding.
+
+    Both directions walk the row-major linkage **along its rows**, one
+    batch slot at a time:
+
+    * forward needs the ``R·K`` support *columns*.  They are gathered
+      for a block of rows at a time (``np.take(L[lo:hi], cols, axis=1,
+      out=...)`` — stride-1 inside each row, one sweep over the matrix)
+      and each head contracts its ``K`` gathered columns with one
+      ``matmul`` into ``f[r, lo:hi]``;
+    * backward gathers each head's ``K`` support *rows* into the same
+      buffer and contracts with one ``matmul``.
+
+    At ``K = N`` with the identity support nothing is gathered: the
+    weights contract against ``L`` directly (the dense matmul pair).
+
+    The per-slot loop makes a batched call bitwise-equal, slot for slot,
+    to the unbatched call on that slot (the row-block size depends only
+    on ``N``, ``R`` and ``K``).
+
+    ``idx`` is validated once (``0 <= idx < N``, else ``IndexError``):
+    the gathers run with ``mode="clip"``, the only mode in which
+    ``np.take`` writes straight into ``out=``, and must never clamp.
+
+    ``scratch`` — the caller-kept dict of
+    :func:`sparse_erase_write_linkage_inplace` (the gathers reuse its
+    ``"sparse.rows"`` buffer, ``K * N`` elements here); same ownership
+    contract: one caller at a time, never shared across threads.
     """
     lead = vals.shape[:-2]
-    r, n = vals.shape[-2], linkage.shape[-1]
-    link = linkage.reshape((-1,) + linkage.shape[-2:])
-    v = vals.reshape((-1,) + vals.shape[-2:])
-    i = idx.reshape((-1,) + idx.shape[-2:])
-    fidx = np.arange(link.shape[0])[:, None, None]
-    bwd = np.einsum("frk,frkn->frn", v, link[fidx, i, :])
-    link_t = np.swapaxes(link, -1, -2)
-    fwd = np.einsum("frk,frkn->frn", v, link_t[fidx, i, :])
+    r, k = vals.shape[-2:]
+    n = linkage.shape[-1]
+    link = linkage.reshape((-1, n, n))
+    v = vals.reshape((-1, r, k))
+    i = idx.reshape((-1, r, k))
+    if i.size and (i.min() < 0 or i.max() >= n):
+        raise IndexError(
+            f"support indices must lie in [0, {n}); got range "
+            f"[{i.min()}, {i.max()}]"
+        )
+    if k == n and (i == np.arange(n)).all():
+        fwd = np.matmul(v, np.swapaxes(link, -1, -2))
+        bwd = np.matmul(v, link)
+        return fwd.reshape(lead + (r, n)), bwd.reshape(lead + (r, n))
+    scratch = {} if scratch is None else scratch
+    fwd = np.empty(
+        (link.shape[0], r, n), dtype=np.result_type(linkage, vals)
+    )
+    bwd = np.empty_like(fwd)
+    # Row-block height that keeps the (rows, R*K) column gather inside
+    # the K*N elements the backward row gather needs anyway.
+    block = max(1, n // r)
+    for f in range(link.shape[0]):
+        link_f, cols = link[f], i[f].reshape(-1)
+        for lo in range(0, n, block):
+            hi = min(n, lo + block)
+            gathered = _scratch_rows(
+                scratch, "sparse.rows", hi - lo, r * k, linkage.dtype
+            )
+            np.take(link_f[lo:hi], cols, axis=1, out=gathered, mode="clip")
+            per_head = gathered.reshape(hi - lo, r, k)
+            for h in range(r):
+                np.matmul(per_head[:, h, :], v[f, h], out=fwd[f, h, lo:hi])
+        rows = _scratch_rows(scratch, "sparse.rows", k, n, linkage.dtype)
+        for h in range(r):
+            np.take(link_f, i[f, h], axis=0, out=rows, mode="clip")
+            np.matmul(v[f, h], rows, out=bwd[f, h])
     return fwd.reshape(lead + (r, n)), bwd.reshape(lead + (r, n))
 
 

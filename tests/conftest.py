@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 import pytest
 
 from repro.core.config import HiMAConfig
 from repro.dnc.model import DNC, DNCConfig
+
+
+def pytest_addoption(parser):
+    # pyproject.toml sets ``timeout`` for pytest-timeout.  Where the
+    # plugin is not installed the key would be unknown; registering it
+    # (inert) keeps the run free of PytestConfigWarning, so CI can turn
+    # that warning into an error and catch a misspelt ini key.
+    if importlib.util.find_spec("pytest_timeout") is None:
+        parser.addini(
+            "timeout",
+            "per-test timeout in seconds (inert: pytest-timeout is not installed)",
+        )
 
 
 @pytest.fixture

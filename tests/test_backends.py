@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import kernels as SK
+from repro.core.access import _topk_largest
 from repro.core.backend import (
     _REGISTRY,
     ReferenceBackend,
@@ -256,29 +257,116 @@ class TestReferenceBitwise:
                 self.linkage[0], self.read_w[0], active=np.array([0])
             )
 
-    def test_sparse_read_kernels_bitwise(self):
-        """The K-support forms reproduce the pre-seam inline einsum."""
-        from repro.core.access import _topk_largest
-
-        top_k = 8
-        idx = _topk_largest(self.read_w, top_k)
+    def test_sparse_read_vectors_bitwise(self):
+        """The K-support read gather reproduces the pre-seam inline einsum."""
+        idx = _topk_largest(self.read_w, 8)
         vals = np.take_along_axis(self.read_w, idx, axis=-1)
         fidx = np.arange(4)[:, None, None]
-        expected_b = np.einsum(
-            "frk,frkn->frn", vals, self.linkage[fidx, idx, :]
-        )
-        link_t = np.swapaxes(self.linkage, -1, -2)
-        expected_f = np.einsum("frk,frkn->frn", vals, link_t[fidx, idx, :])
-        fwd, bwd = self.backend.sparse_forward_backward(
-            self.linkage, vals, idx
-        )
-        assert np.array_equal(fwd, expected_f)
-        assert np.array_equal(bwd, expected_b)
-        expected_r = np.einsum(
+        expected = np.einsum(
             "frk,frkw->frw", vals, self.memory[fidx, idx, :]
         )
         got = self.backend.sparse_read_vectors(self.memory, vals, idx)
-        assert np.array_equal(got, expected_r)
+        assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# Row-major sparse kernels on backend-owned scratch
+# ---------------------------------------------------------------------------
+
+
+class TestSparseKernels:
+    """The two hot sparse kernels against their oracles.
+
+    Every call goes through one backend instance, so the scratch buffers
+    are reused across calls with different supports, dtypes and batch
+    shapes — buffer history must never reach a result.
+    """
+
+    N, R = 64, 3
+
+    def setup_method(self):
+        self.backend = ReferenceBackend()
+
+    def support(self, dtype, top_k, batch=4, seed=5):
+        gen = np.random.default_rng(seed)
+        linkage = (gen.random((batch, self.N, self.N)) * 0.01).astype(dtype)
+        read_w = (gen.random((batch, self.R, self.N)) * 0.05).astype(dtype)
+        idx = _topk_largest(read_w, top_k)
+        vals = np.take_along_axis(read_w, idx, axis=-1)
+        return linkage, vals, idx
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("top_k", [8, 64], ids=["k_lt_n", "k_eq_n"])
+    def test_forward_backward_matches_dense_oracle(self, dtype, top_k):
+        linkage, vals, idx = self.support(dtype, top_k)
+        dense_w = np.zeros((4, self.R, self.N), dtype=dtype)
+        np.put_along_axis(dense_w, idx, vals, axis=-1)
+        want_f, want_b = K.forward_backward(linkage, dense_w)
+        fwd, bwd = self.backend.sparse_forward_backward(linkage, vals, idx)
+        assert fwd.dtype == bwd.dtype == np.dtype(dtype)
+        tol = 1e-12 if dtype == "float64" else TOLERANCES[dtype]
+        assert np.abs(fwd - want_f).max() <= tol
+        assert np.abs(bwd - want_b).max() <= tol
+
+    @pytest.mark.parametrize("top_k", [8, 64], ids=["k_lt_n", "k_eq_n"])
+    def test_batched_slot_bitwise_equals_unbatched(self, top_k):
+        linkage, vals, idx = self.support("float64", top_k)
+        fwd, bwd = self.backend.sparse_forward_backward(linkage, vals, idx)
+        for f in range(4):
+            solo_f, solo_b = self.backend.sparse_forward_backward(
+                linkage[f], vals[f], idx[f]
+            )
+            assert np.array_equal(fwd[f], solo_f)
+            assert np.array_equal(bwd[f], solo_b)
+
+    @pytest.mark.parametrize("bad", [-1, 64])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_out_of_range_support_index_raises(self, batched, bad):
+        """The gathers run unchecked (mode="clip"); the kernel must not."""
+        linkage, vals, idx = self.support("float64", 8)
+        idx = idx.copy()
+        idx[1, 2, 3] = bad
+        if not batched:
+            linkage, vals, idx = linkage[1], vals[1], idx[1]
+        with pytest.raises(IndexError):
+            self.backend.sparse_forward_backward(linkage, vals, idx)
+
+    def write_operands(self, support, seed=9, batch=4, w=16):
+        gen = np.random.default_rng(seed)
+        memory = gen.standard_normal((batch, self.N, w))
+        linkage = gen.random((batch, self.N, self.N)) * 0.01
+        precedence = gen.random((batch, self.N)) * 0.01
+        write_w = gen.random((batch, self.N)) * 0.01
+        for b in range(batch):
+            write_w[b, gen.choice(self.N, self.N - support, replace=False)] = 0.0
+        erase = gen.random((batch, w))
+        value = gen.standard_normal((batch, w))
+        return memory, linkage, precedence, write_w, erase, value
+
+    def test_masked_inplace_write_bitwise_on_reused_scratch(self):
+        active = np.array([0, 2])
+        # Shrinking then growing supports reuse one pair of buffers.
+        for support in (20, 5, 64):
+            ops = self.write_operands(support, seed=support)
+            want = self.backend.sparse_erase_write_linkage(*ops)
+            resident = [a.copy() for a in ops[:3]]
+            self.backend.sparse_erase_write_linkage_inplace(
+                *resident, *ops[3:], active=active
+            )
+            for got, new, old in zip(resident, want, ops[:3]):
+                assert np.array_equal(got[active], new[active])
+                assert np.array_equal(got[[1, 3]], old[[1, 3]])
+        # The last round had full support: bitwise the fused dense kernel.
+        for got, fused in zip(want, SK.fused_erase_write_linkage(*ops)):
+            assert np.array_equal(got, fused)
+
+    def test_scratch_bounded_by_two_support_row_buffers(self):
+        linkage, vals, idx = self.support("float64", 8)
+        self.backend.sparse_forward_backward(linkage, vals, idx)
+        ops = self.write_operands(16)
+        self.backend.sparse_erase_write_linkage_inplace(*ops)
+        held = sum(a.size for a in self.backend._scratch.values())
+        assert held <= 2 * 16 * self.N
 
 
 # ---------------------------------------------------------------------------

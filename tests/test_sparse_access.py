@@ -14,6 +14,10 @@ The acceptance bars for :mod:`repro.core.access`:
   kernels scale with K, not N.
 """
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,6 +261,73 @@ class TestSparseTrajectories:
             y_a, state = engine.step(xs[t], state)
             y_b, restored = engine.step(xs[t], restored)
             assert np.array_equal(y_a, y_b), t
+
+
+# ---------------------------------------------------------------------------
+# Kernel scratch: owned per engine, and the only O(K·N) memory a tick uses
+# ---------------------------------------------------------------------------
+
+
+class TestSparseScratch:
+    def resident_ticks(self, engine, xs):
+        """Masked in-place ticks on a resident 2-slot state."""
+        state = engine.initial_state(batch_size=2)
+        active = np.arange(2)
+        return [engine.step(x, state, active=active)[0].copy() for x in xs]
+
+    def test_concurrent_engines_match_sequential(self, rng):
+        """Two engines stepped from two threads share no kernel scratch."""
+        config = sparse_config(memory_size=256, access_top_k=32)
+        xs = rng.standard_normal((2, 24, 2, config.word_size))
+        want = [
+            self.resident_ticks(TiledEngine(config, rng=SEED + e), xs[e])
+            for e in range(2)
+        ]
+        got = [None, None]
+        start = threading.Barrier(2, timeout=30)
+
+        def drive(e):
+            engine = TiledEngine(config, rng=SEED + e)
+            start.wait()
+            got[e] = self.resident_ticks(engine, xs[e])
+
+        threads = [threading.Thread(target=drive, args=(e,)) for e in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for e in range(2):
+            assert got[e] is not None
+            for t, (y_got, y_want) in enumerate(zip(got[e], want[e])):
+                assert np.array_equal(y_got, y_want), (e, t)
+
+    def test_steady_state_tick_allocates_under_one_mib(self, rng):
+        """The cliff this guards: 4 MiB of strided-gather temporaries per
+        tick at this shape before the kernels moved onto scratch."""
+        config = sparse_config(
+            memory_size=1024, num_reads=4, access_top_k=64
+        )
+        engine = TiledEngine(config, rng=SEED)
+        state = engine.initial_state(batch_size=2)
+        active = np.arange(2)
+        xs = rng.standard_normal((5, 2, config.word_size))
+        tracemalloc.start()
+        try:
+            for x in xs[:4]:
+                engine.step(x, state, active=active)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            engine.step(xs[4], state, active=active)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1 << 20
 
 
 # ---------------------------------------------------------------------------
