@@ -357,11 +357,10 @@ class SparseAccess(AccessPolicy):
         # Same blockwise message pattern as the dense path, but each
         # segment carries only the ≤K written rows' worth of operands.
         rows_k = max(1, self.top_k // nt)
-        for t in range(nt):
-            rows, cols = mmap.linkage_block(t)
-            for owner in mmap.row_segment_owners(rows):
+        for t, row_owners, col_owners, _, _ in mmap.linkage_dataflow:
+            for owner in row_owners:
                 log.add("linkage", owner, t, b * rows_k)
-            for owner in mmap.row_segment_owners(cols):
+            for owner in col_owners:
                 log.add("linkage", owner, t, 2 * b * rows_k)
         for hop in range(nt - 1):
             log.add("precedence", hop, hop + 1, b)
@@ -408,13 +407,11 @@ class SparseAccess(AccessPolicy):
         # psum chains carry the support rows only.
         rows_k = max(1, self.top_k // cfg.num_tiles)
         nt_h, nt_w = mmap.nt_h, mmap.nt_w
-        for t in range(cfg.num_tiles):
-            rows, cols = mmap.linkage_block(t)
-            for owner in mmap.row_segment_owners(cols):
+        for t, row_owners, col_owners, bi, bj in mmap.linkage_dataflow:
+            for owner in col_owners:
                 log.add("forward_backward", owner, t, b * r * rows_k)
-            for owner in mmap.row_segment_owners(rows):
+            for owner in row_owners:
                 log.add("forward_backward", owner, t, b * r * rows_k)
-            bi, bj = mmap.linkage_grid_index(t)
             if bj + 1 < nt_w:
                 log.add("forward_backward", t, t + 1, b * r * rows_k)
             if bi + 1 < nt_h:

@@ -12,21 +12,22 @@ path dispatches through it.
 
 Three backends ship:
 
-* ``reference`` — the verbatim numpy path.  Every dense method
-  delegates to the exact pre-seam code, so all existing bitwise /
-  <=1e-10 bars keep holding unchanged; the sparse forms are the shared
-  row-major kernels of :mod:`repro.core.kernels`, held to the
-  ``numpy_ref`` oracle.
-* ``tuned`` — a pure-numpy CPU backend that wins on bandwidth-bound
-  configs while staying **bitwise identical** to ``reference``: the
-  linkage update is cache-blocked over row panels (one read + one write
-  DRAM sweep of the N^2 field instead of ~4), temporaries are resident
-  per-backend scratch instead of fresh allocations, and content
-  addressing routes through ``out=``.  Bitwise equality is by
-  construction: every per-cell ufunc sequence is the reference one
-  (IEEE-754 multiplication and addition are commutative for finite
-  floats, so ``a *= b`` reproduces ``multiply(b, a)`` exactly), and
-  block boundaries never move a reduction.
+* ``reference`` — bitwise the ``repro.dnc.numpy_ref`` oracle.  The
+  dense write phase is the shared cache-blocked sweep of
+  :mod:`repro.core.kernels` (per cell the oracle's ufunc sequence, so
+  panel boundaries never change a value), the read phase and content
+  scores are the oracle's own expressions, and the sparse forms are the
+  shared row-major kernels, held to the same oracle.
+* ``tuned`` — the same write sweep plus what is genuinely different:
+  a BLAS ``?ger`` rank-1 accumulate per linkage panel (scipy present,
+  ``N >= MIN_BLOCKED_N``), cosine scores with the row norms factored
+  out of the matmul, a fused single-pass forward/backward and a
+  scratch-resident read-weight mix.  Versus ``reference`` on identical
+  inputs: **memory, precedence and the read-weight mix are always
+  bitwise; the linkage is bitwise unless ``?ger`` engages** (then it
+  rounds once per cell where the ufuncs round twice); the content
+  scores and the fused backward psum are tolerance-level.  Trajectories
+  stay within ``VERIFY_TOLERANCES``.
 * ``torch`` — optional (``pip install repro-hima[torch]``), registered
   lazily when torch is importable; see
   :mod:`repro.core.backend_torch`.  Runs CPU or CUDA and brings up the
@@ -50,8 +51,8 @@ from repro.errors import ConfigError
 
 try:  # Optional accelerant: BLAS rank-1 update for the tuned linkage
     from scipy.linalg import blas as _scipy_blas  # sweep.  Without scipy
-except ImportError:  # the tuned backend falls back to the two-pass
-    _scipy_blas = None  # multiply-plus-add form (same blocking, same math).
+except ImportError:  # the tuned write phase is the reference one: the
+    _scipy_blas = None  # shared sweep's multiply-plus-add, bit for bit.
 
 #: BLAS ``?ger`` routines by dtype for the tuned backend's rank-1
 #: linkage accumulation.  Only the exact-match single/double routines
@@ -86,11 +87,12 @@ class KernelBackend:
     ufunc-order bitwise guarantees, ``active``/``workspace``/``scratch``
     semantics) are those of the :mod:`repro.core.kernels` functions each
     method shadows.  The base class supplies what every CPU backend
-    shares: the numpy batched argsort, the sparse kernels, and the
-    per-instance scratch dict those kernels (and the tuned backend's
-    panels) keep their reused buffers in — so a subclass ``__init__``
-    must call ``super().__init__()``, and one instance must never be
-    driven from two threads at once.
+    shares: the numpy batched argsort, the dense write sweep, the read
+    phase, the sparse kernels, and the per-instance scratch dict those
+    kernels (and the tuned backend's read phase) keep their reused
+    buffers in — so a subclass ``__init__`` must call
+    ``super().__init__()``, and one instance must never be driven from
+    two threads at once.
     """
 
     #: Registry name; set by subclasses.
@@ -108,7 +110,7 @@ class KernelBackend:
     def __init__(self):
         #: Resident scratch, one dict per backend instance (and backends
         #: are per-engine): the sparse kernels' two row buffers live
-        #: here, as do the tuned backend's panel temporaries.
+        #: here, as do the tuned backend's read-phase temporaries.
         self._scratch: Dict = {}
 
     def _buf(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -146,6 +148,14 @@ class KernelBackend:
         return np.argsort(values, axis=-1, kind="stable")
 
     # -- fused dense write phase -------------------------------------------
+    # One body for every CPU backend: the cache-blocked sweep of
+    # :func:`repro.core.kernels.fused_erase_write_linkage` (bitwise the
+    # ``numpy_ref`` three-pass oracle).  A backend only chooses the
+    # sweep's rank-1 accumulate.
+    def _ger(self, linkage: np.ndarray) -> Optional[Callable]:
+        """BLAS ``?ger`` for the linkage sweep; ``None`` = the oracle ufuncs."""
+        return None
+
     def fused_erase_write_linkage(
         self,
         memory: np.ndarray,
@@ -154,10 +164,12 @@ class KernelBackend:
         write_w: np.ndarray,
         erase: np.ndarray,
         value: np.ndarray,
-        active: Optional[np.ndarray] = None,
         workspace: Optional[SK.FusedWriteWorkspace] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        return SK.fused_erase_write_linkage(
+            memory, linkage, precedence, write_w, erase, value,
+            workspace=workspace, ger=self._ger(linkage),
+        )
 
     def fused_erase_write_linkage_inplace(
         self,
@@ -170,7 +182,12 @@ class KernelBackend:
         active: np.ndarray,
         scratch: Optional[Dict] = None,
     ) -> None:
-        raise NotImplementedError
+        SK.fused_erase_write_linkage_inplace(
+            memory, linkage, precedence, write_w, erase, value,
+            active=active,
+            scratch=self._scratch if scratch is None else scratch,
+            ger=self._ger(linkage),
+        )
 
     # -- sparse write phase ------------------------------------------------
     def sparse_erase_write_linkage(
@@ -204,19 +221,20 @@ class KernelBackend:
         )
 
     # -- read phase ----------------------------------------------------
-    # The base-class bodies ARE the pre-seam numpy path (like
+    # The base-class bodies ARE the ``numpy_ref`` oracle (like
     # ``argsort``): forward/backward is the stacked matmul pair of
     # :func:`repro.dnc.numpy_ref.forward_backward`, the mix is the
     # three-term merge, and the gather is ``read_w @ memory``.
-    # ``ReferenceBackend`` inherits them unchanged, which is what keeps
-    # dense trajectories bitwise on the pre-refactor engine.
+    # ``ReferenceBackend`` inherits them unchanged.
     #
     # ``active`` contract (all three dense methods): ``None`` computes
     # the full batch; an index/bool array computes only those leading
-    # batch slots and returns zeros in the inactive rows.  Per-slot
-    # results are bitwise-equal to the full-batch call on the same rows
-    # (the kernels are independent per batch element), matching the
-    # masked-step scatter semantics of ``TiledEngine._step_masked_dense``.
+    # batch slots and returns zeros in the inactive rows.  The N^2-sized
+    # operands are never gathered: each active slot contracts against
+    # the resident ``linkage[s]`` / ``memory[s]``, and the kernels are
+    # independent per batch element, so per-slot results are
+    # bitwise-equal to the full-batch call on the same rows — the
+    # masked-step semantics of ``TiledEngine._step_masked_dense``.
 
     @staticmethod
     def _active_index(active, batch_like: np.ndarray) -> np.ndarray:
@@ -238,13 +256,10 @@ class KernelBackend:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Temporal weightings ``f = w_r L^T``, ``b = w_r L`` (both ``(..., R, N)``)."""
         if active is not None:
-            idx = self._active_index(active, linkage)
             fwd = np.zeros_like(read_w)
             bwd = np.zeros_like(read_w)
-            if idx.size:
-                fwd[idx], bwd[idx] = self.forward_backward(
-                    linkage[idx], read_w[idx]
-                )
+            for s in self._active_index(active, linkage):
+                fwd[s], bwd[s] = self.forward_backward(linkage[s], read_w[s])
             return fwd, bwd
         return K.forward_backward(linkage, read_w)
 
@@ -278,12 +293,11 @@ class KernelBackend:
     ) -> np.ndarray:
         """Weighted read ``(..., R, W)`` of memory under the read weights."""
         if active is not None:
-            idx = self._active_index(active, memory)
             out = np.zeros(
                 read_w.shape[:-1] + (memory.shape[-1],), dtype=memory.dtype
             )
-            if idx.size:
-                out[idx] = self.read_vectors(memory[idx], read_w[idx])
+            for s in self._active_index(active, memory):
+                out[s] = self.read_vectors(memory[s], read_w[s])
             return out
         return K.read_vectors(memory, read_w)
 
@@ -306,13 +320,12 @@ class KernelBackend:
 
 
 class ReferenceBackend(KernelBackend):
-    """The verbatim pre-seam numpy path.
+    """Bitwise the ``repro.dnc.numpy_ref`` oracle.
 
-    Every method body is the exact code that lived inline in
-    ``DenseAccess``/``TiledEngine._step_distributed`` before the backend
-    layer, so dense trajectories are bitwise-identical to the
-    pre-refactor engine.  The sparse forms are inherited from the base
-    class (one body for every CPU backend).
+    The content scores below are the oracle's expressions; the dense
+    write phase (the shared panel sweep, oracle ufunc order per cell),
+    the read phase and the sparse forms are inherited from the base
+    class — one body for every CPU backend.
     """
 
     name = "reference"
@@ -334,101 +347,47 @@ class ReferenceBackend(KernelBackend):
         rkey_unit = K.l2_normalize(read_keys)
         return SK.stacked_read_scores(rkey_unit, K.l2_normalize(local_mem))
 
-    def fused_erase_write_linkage(
-        self, memory, linkage, precedence, write_w, erase, value,
-        active=None, workspace=None,
-    ):
-        return SK.fused_erase_write_linkage(
-            memory, linkage, precedence, write_w, erase, value,
-            active=active, workspace=workspace,
-        )
-
-    def fused_erase_write_linkage_inplace(
-        self, memory, linkage, precedence, write_w, erase, value,
-        active, scratch=None,
-    ):
-        SK.fused_erase_write_linkage_inplace(
-            memory, linkage, precedence, write_w, erase, value,
-            active=active, scratch=scratch,
-        )
-
 
 class TunedBackend(ReferenceBackend):
-    """Cache-blocked, scratch-resident CPU backend; bitwise == reference.
+    """The reference kernels plus what is genuinely different on a CPU.
 
     Where the win comes from on bandwidth-bound configs (N >= 256, the
     whole write-phase working set past L3):
 
-    * the linkage update streams the N^2 field once in row panels sized
-      to stay cache-resident — the reference path sweeps it from DRAM
-      ~4x (materialize, multiply, add, plus the ``w x p`` outer-product
-      temporary) while the blocked pass reads each linkage panel once
-      and writes each output panel once, with both small temporaries
-      hot in cache;
-    * the ``w_i * p_j`` rank-1 accumulation rides a single BLAS
-      ``?ger`` sweep over each hot panel instead of the reference's
-      multiply-into-scratch plus add — one FMA pass, no outer-product
-      temporary, and on compute-throttled hosts one fewer elementwise
-      kernel launch per panel;
+    * the ``w_i * p_j`` rank-1 accumulation of the shared write sweep
+      rides one BLAS ``?ger`` pass over each hot linkage panel instead
+      of the multiply-into-scratch plus add — one FMA pass, and on
+      compute-throttled hosts one fewer elementwise kernel launch per
+      panel.  Below :data:`repro.core.kernels.MIN_BLOCKED_N` rows, for
+      non-contiguous operands and without scipy the sweep keeps the
+      oracle ufuncs: the write phase is then ``reference``'s, bit for
+      bit;
     * the read phase's forward/backward matvec pair fuses into one
       blocked pass over the same row panels (see
       :meth:`forward_backward`): the linkage is streamed from DRAM once
       per tick instead of twice, and the read-weight mix rides resident
       scratch (:meth:`read_weight_mix`, bitwise on the reference);
-    * the masked in-place path drops the two full N^2 scratch buffers
-      and the copy-back entirely: panels of the resident linkage are
-      updated where they live;
-    * the memory-rows update routes through ``out=`` into per-backend
-      resident scratch, so steady-state steps allocate nothing
-      O(N^2)-shaped;
-    * below :attr:`min_blocked_n` rows the whole write phase delegates
-      to the reference kernels — panel bookkeeping costs more than it
-      saves once the working set fits L2, and a tuned backend that
-      loses on the small-N base config is not tuned.
+    * content addressing factors the memory row norms out of the cosine
+      dot product (see the note above the score methods): the matmul
+      runs on raw memory and the small score panel is rescaled, instead
+      of materializing a full unit-normalized copy of memory per call.
+      The stacked DNC-D score paths stay on the inherited reference
+      arithmetic — distributed tiles are small enough that the factored
+      form has nothing to amortize.
 
-    Content addressing factors the memory row norms out of the cosine
-    dot product (see the note above the score methods): the matmul runs
-    on raw memory and the small score panel is rescaled, instead of
-    materializing a full unit-normalized copy of memory per call.
-    The stacked DNC-D score paths stay on the inherited reference
-    arithmetic — distributed tiles are small enough that the factored
-    form has nothing to amortize.
-
-    Numerics: the memory and precedence updates see the reference ufunc
-    sequence exactly (in-place forms lean on IEEE-754 multiply/add
-    commutativity; the only reduction, ``write_w.sum``, is taken
-    unblocked), so those fields stay bitwise on the reference.  The
-    linkage field's ``?ger`` accumulation rounds once per element where
-    the reference rounds twice (multiply, then add), an ulp-scale
-    per-step difference bounded by ``VERIFY_TOLERANCES`` for every
-    supported dtype — trajectory-level equivalence is pinned in
-    ``tests/test_backends.py``.  Panel boundaries are numerically
-    irrelevant (every update is row-elementwise).
+    Which fields are bitwise on which backend is stated once, in the
+    module docstring; trajectory-level equivalence is pinned in
+    ``tests/test_backends.py``.
     """
 
     name = "tuned"
     #: The fused forward/backward sweep streams the linkage once.
     read_linkage_passes = 1
 
-    #: Target bytes per streamed linkage panel (input panel, output
-    #: panel, and per-panel temporary each get roughly this much, so the
-    #: blocked working set is ~3x this).  Chosen to sit comfortably
-    #: inside a per-core L2.
-    panel_bytes = 1 << 18
-
-    #: Below this many memory rows the write phase delegates to the
-    #: reference kernels: the N^2 field already fits in cache and the
-    #: panel/scratch bookkeeping is pure overhead there.
-    min_blocked_n = 128
-
-    def _panel_rows(self, linkage: np.ndarray) -> int:
-        """Rows per linkage panel so one panel ~ :attr:`panel_bytes`."""
-        n = linkage.shape[-1]
-        lead = 1
-        for dim in linkage.shape[:-2]:
-            lead *= dim
-        row_bytes = max(1, lead * n * linkage.dtype.itemsize)
-        return max(1, min(n, self.panel_bytes // row_bytes))
+    def _ger(self, linkage):
+        if linkage.shape[-1] < SK.MIN_BLOCKED_N:
+            return None
+        return _GER.get(linkage.dtype.str)
 
     # -- content addressing ------------------------------------------------
     # Factored cosine scores: the reference materializes a full
@@ -456,216 +415,6 @@ class TunedBackend(ReferenceBackend):
         scores /= np.sqrt(sq + K._NORM_EPSILON)[..., None, :]
         return scores
 
-    # -- fused dense write phase -------------------------------------------
-    def _linkage_panels(
-        self,
-        linkage_in: np.ndarray,
-        out: np.ndarray,
-        w_col: np.ndarray,
-        write_w: np.ndarray,
-        precedence: np.ndarray,
-        inplace: bool,
-    ) -> None:
-        """Blocked ``((1 - w_i) - w_j) * L + w_i * p_j`` with zeroed diagonal.
-
-        ``out`` may be ``linkage_in`` itself (``inplace=True``) — each
-        panel's old values are fully consumed by the multiply before
-        they are overwritten.
-        """
-        n = write_w.shape[-1]
-        if (
-            linkage_in.flags.c_contiguous
-            and out.flags.c_contiguous
-            and write_w.flags.c_contiguous
-            and precedence.flags.c_contiguous
-        ):
-            # Contiguous fast path: stream each lead element's (n, n)
-            # matrix through contiguous row panels.  Strided cross-lead
-            # slabs measure ~25% slower on the same sweep.
-            lin3 = linkage_in.reshape((-1, n, n))
-            out3 = out.reshape((-1, n, n))
-            w2 = write_w.reshape((-1, n))
-            p2 = precedence.reshape((-1, n))
-            rows_per = max(
-                1,
-                min(n, self.panel_bytes // max(1, n * linkage_in.dtype.itemsize)),
-            )
-            tmp = self._buf("fused.lpanel", (rows_per, n), linkage_in.dtype)
-            ger = _GER.get(linkage_in.dtype.str)
-            diag = np.arange(n)
-            for b in range(lin3.shape[0]):
-                lin_b, out_b = lin3[b], out3[b]
-                wc = w2[b][:, None]
-                w_row_b = w2[b][None, :]
-                p_row_b = p2[b][None, :]
-                omw_b = 1.0 - wc
-                for r0 in range(0, n, rows_per):
-                    r1 = min(n, r0 + rows_per)
-                    t = tmp[: r1 - r0]
-                    np.subtract(omw_b[r0:r1], w_row_b, out=t)
-                    panel = out_b[r0:r1]
-                    if inplace:
-                        np.multiply(panel, t, out=panel)
-                    else:
-                        np.multiply(t, lin_b[r0:r1], out=panel)
-                    if ger is not None:
-                        # panel += w_i * p_j as one BLAS rank-1 pass:
-                        # panel.T is F-contiguous (panel is a row slice
-                        # of a C matrix), so ?ger updates it in place,
-                        # fusing the reference's multiply-into-scratch
-                        # and add sweeps into a single FMA sweep with
-                        # one rounding per element.
-                        ger(1.0, p2[b], w2[b][r0:r1], a=panel.T,
-                            overwrite_a=1)
-                    else:
-                        np.multiply(wc[r0:r1], p_row_b, out=t)
-                        panel += t
-                out_b[diag, diag] = 0.0
-            return
-        w_row = write_w[..., None, :]
-        p_row = precedence[..., None, :]
-        omw = 1.0 - w_col
-        rows_per = self._panel_rows(linkage_in)
-        tmp = self._buf(
-            "fused.ltmp", linkage_in.shape[:-2] + (rows_per, n), linkage_in.dtype
-        )
-        for r0 in range(0, n, rows_per):
-            r1 = min(n, r0 + rows_per)
-            rows = r1 - r0
-            t = tmp[..., :rows, :]
-            np.subtract(omw[..., r0:r1, :], w_row, out=t)
-            panel = out[..., r0:r1, :]
-            if inplace:
-                # multiply(panel, t) == reference multiply(t, panel):
-                # IEEE-754 multiplication is commutative bit-for-bit.
-                np.multiply(panel, t, out=panel)
-            else:
-                np.multiply(t, linkage_in[..., r0:r1, :], out=panel)
-            np.multiply(w_col[..., r0:r1, :], p_row, out=t)
-            panel += t
-            panel[..., np.arange(rows), np.arange(r0, r1)] = 0.0
-
-    def fused_erase_write_linkage(
-        self, memory, linkage, precedence, write_w, erase, value,
-        active=None, workspace=None,
-    ):
-        if write_w.shape[-1] < self.min_blocked_n:
-            return super().fused_erase_write_linkage(
-                memory, linkage, precedence, write_w, erase, value,
-                active=active, workspace=workspace,
-            )
-        if active is not None:
-            # Masked variant: gather the active slots, run the plain
-            # kernel, scatter into copies — the reference structure.
-            if memory.ndim < 3:
-                raise ValueError(
-                    "fused_erase_write_linkage(active=...) needs a leading "
-                    f"batch axis; got memory of shape {memory.shape}"
-                )
-            idx = np.asarray(active)
-            if idx.dtype == np.bool_:
-                idx = np.flatnonzero(idx)
-            out_memory = memory.copy()
-            out_linkage = linkage.copy()
-            out_precedence = precedence.copy()
-            if idx.size:
-                erase_b = np.broadcast_to(
-                    erase, write_w.shape[:-1] + erase.shape[-1:]
-                )
-                value_b = np.broadcast_to(
-                    value, write_w.shape[:-1] + value.shape[-1:]
-                )
-                sub = self.fused_erase_write_linkage(
-                    memory[idx], linkage[idx], precedence[idx],
-                    write_w[idx], erase_b[idx], value_b[idx],
-                )
-                out_memory[idx], out_linkage[idx], out_precedence[idx] = sub
-            return out_memory, out_linkage, out_precedence
-
-        w_col = write_w[..., :, None]
-        if workspace is None:
-            # Outputs become caller-owned state arrays: they must be
-            # fresh, never backend scratch.
-            new_memory = np.empty_like(memory)
-            new_linkage = np.empty_like(linkage)
-            new_precedence = np.empty_like(precedence)
-        else:
-            new_memory = workspace._get("memory", memory)
-            new_linkage = workspace._get("linkage", linkage)
-            new_precedence = workspace._get("precedence", precedence)
-            if (new_memory is memory or new_linkage is linkage
-                    or new_precedence is precedence):
-                raise ValueError(
-                    "workspace output buffer aliases its input; a caller "
-                    "recycled the arrays of the state it is about to step"
-                )
-
-        # Memory rows: m * (1 - w x e) + w x v, reference ufunc order;
-        # the value term lands in resident scratch instead of a fresh
-        # (..., N, W) temporary.
-        np.multiply(w_col, erase[..., None, :], out=new_memory)
-        np.subtract(1.0, new_memory, out=new_memory)
-        new_memory *= memory
-        mem_term = self._buf("fused.mterm", memory.shape, memory.dtype)
-        np.multiply(w_col, value[..., None, :], out=mem_term)
-        new_memory += mem_term
-
-        self._linkage_panels(
-            linkage, new_linkage, w_col, write_w, precedence, inplace=False
-        )
-
-        # Precedence: (1 - sum w) * p + w, from the previous precedence.
-        wsum = write_w.sum(axis=-1, keepdims=True)
-        np.subtract(1.0, wsum, out=wsum)
-        np.multiply(wsum, precedence, out=new_precedence)
-        new_precedence += write_w
-        return new_memory, new_linkage, new_precedence
-
-    def fused_erase_write_linkage_inplace(
-        self, memory, linkage, precedence, write_w, erase, value,
-        active, scratch=None,
-    ):
-        # ``scratch`` is accepted for interface parity but unused: the
-        # backend's own buffers replace the caller-held dict, and the
-        # two N^2 scratch arrays the reference kernel needs do not exist
-        # here at all.
-        if write_w.shape[-1] < self.min_blocked_n:
-            return super().fused_erase_write_linkage_inplace(
-                memory, linkage, precedence, write_w, erase, value,
-                active=active, scratch=scratch,
-            )
-        if memory.ndim < 3:
-            raise ValueError(
-                "fused_erase_write_linkage_inplace needs a leading batch "
-                f"axis; got memory of shape {memory.shape}"
-            )
-        idx = np.asarray(active)
-        if idx.dtype == np.bool_:
-            idx = np.flatnonzero(idx)
-        if idx.size == 0:
-            return
-        erase_b = np.broadcast_to(erase, write_w.shape[:-1] + erase.shape[-1:])
-        value_b = np.broadcast_to(value, write_w.shape[:-1] + value.shape[-1:])
-        mw = self._buf("fused.mw", memory.shape[-2:], memory.dtype)
-        for s in idx:
-            m, link, p, w = memory[s], linkage[s], precedence[s], write_w[s]
-            w_col = w[:, None]
-            # Memory rows in place: (1 - w x e) is consumed by the
-            # multiply before m is overwritten, and m *= mw reproduces
-            # the reference multiply(mw, m) bit-for-bit.
-            np.multiply(w_col, erase_b[s][None, :], out=mw)
-            np.subtract(1.0, mw, out=mw)
-            np.multiply(m, mw, out=m)
-            np.multiply(w_col, value_b[s][None, :], out=mw)
-            m += mw
-            # Linkage panels updated where they live — no N^2 scratch,
-            # no copy-back.
-            self._linkage_panels(link, link, w_col, w, p, inplace=True)
-            # Precedence reads old p; the panels above consumed it, so
-            # it may now be overwritten: (1 - sum w) * p + w.
-            np.multiply(1.0 - w.sum(), p, out=p)
-            p += w
-
     # -- read phase ----------------------------------------------------
     def forward_backward(self, linkage, read_w, active=None):
         """Fused single-pass forward/backward over linkage row panels.
@@ -683,15 +432,15 @@ class TunedBackend(ReferenceBackend):
         reference — bounded by ``VERIFY_TOLERANCES`` and pinned in
         ``tests/test_backends.py``.
 
-        Delegates to the reference pair below :attr:`min_blocked_n`
-        (both matmuls already fit in cache), under ``active=`` (the
-        masked base path gathers the sub-batch and re-enters here), and
-        for non-contiguous operands.
+        Delegates to the reference pair below
+        :data:`repro.core.kernels.MIN_BLOCKED_N` (both matmuls already
+        fit in cache), under ``active=`` (the masked base path re-enters
+        here once per active slot), and for non-contiguous operands.
         """
         n = linkage.shape[-1]
         if (
             active is not None
-            or n < self.min_blocked_n
+            or n < SK.MIN_BLOCKED_N
             or not (linkage.flags.c_contiguous and read_w.flags.c_contiguous)
         ):
             return super().forward_backward(linkage, read_w, active=active)
@@ -704,9 +453,7 @@ class TunedBackend(ReferenceBackend):
         bwd = np.empty_like(read_w)
         fwd3 = fwd.reshape((-1, r, n))
         bwd3 = bwd.reshape((-1, r, n))
-        rows_per = max(
-            1, min(n, self.panel_bytes // max(1, n * linkage.dtype.itemsize))
-        )
+        rows_per = SK.panel_rows(n, n * linkage.dtype.itemsize)
         tmp = self._buf("read.psum", (r, n), linkage.dtype)
         for b in range(lin3.shape[0]):
             lin_b, rw_b = lin3[b], rw3[b]

@@ -113,8 +113,8 @@ class TorchBackend(KernelBackend):
 
     # -- read phase ----------------------------------------------------
     # Dense read kernels in torch; the masked ``active=`` forms ride the
-    # base class's gather/compute/scatter (which re-enters these on the
-    # active sub-batch), and the K-support sparse forms stay on the
+    # base class's per-slot loop (which re-enters these on each active
+    # slot), and the K-support sparse forms stay on the
     # inherited numpy kernels — they are gather-bound, not a bandwidth
     # problem, same as the sparse write phase.
 
@@ -173,34 +173,8 @@ class TorchBackend(KernelBackend):
 
     def fused_erase_write_linkage(
         self, memory, linkage, precedence, write_w, erase, value,
-        active=None, workspace=None,
+        workspace=None,
     ):
-        if active is not None:
-            if memory.ndim < 3:
-                raise ValueError(
-                    "fused_erase_write_linkage(active=...) needs a leading "
-                    f"batch axis; got memory of shape {memory.shape}"
-                )
-            idx = np.asarray(active)
-            if idx.dtype == np.bool_:
-                idx = np.flatnonzero(idx)
-            out_memory = memory.copy()
-            out_linkage = linkage.copy()
-            out_precedence = precedence.copy()
-            if idx.size:
-                erase_b = np.broadcast_to(
-                    erase, write_w.shape[:-1] + erase.shape[-1:]
-                )
-                value_b = np.broadcast_to(
-                    value, write_w.shape[:-1] + value.shape[-1:]
-                )
-                sub = self.fused_erase_write_linkage(
-                    memory[idx], linkage[idx], precedence[idx],
-                    write_w[idx], erase_b[idx], value_b[idx],
-                )
-                out_memory[idx], out_linkage[idx], out_precedence[idx] = sub
-            return out_memory, out_linkage, out_precedence
-
         new_m, new_l, new_p = self._fused_torch(
             self._to(memory), self._to(linkage), self._to(precedence),
             self._to(write_w), self._to(erase), self._to(value),

@@ -81,9 +81,10 @@ class HiMAConfig:
     #: per-row kernel runs over the full resident batch (no gathers)
     #: while the O(N^2) write phase skips inactive slots in place via
     #: the masked fused kernel.  ``0.0`` always takes the dense path,
-    #: ``1.0`` never does (full occupancy already has its own zero-copy
-    #: fast path).  Non-distributed engines only — the DNC-D stacked
-    #: kernels view-shard the state, so it keeps the compact path.
+    #: ``1.0`` only at full occupancy (which always does: it is the same
+    #: in-place route with nothing to scatter back).  Non-distributed
+    #: engines only — the DNC-D stacked kernels view-shard the state,
+    #: so it keeps the compact path.
     masked_dense_min_occupancy: float = 0.75
 
     # Implementation parameters.
@@ -94,9 +95,9 @@ class HiMAConfig:
     dtype: str = "float64"  # engine-wide numeric policy (see DTYPE_CHOICES)
 
     #: Kernel backend for the hot path (see :mod:`repro.core.backend`):
-    #: ``"reference"`` is the verbatim numpy path, ``"tuned"`` the
-    #: cache-blocked CPU backend (within ``VERIFY_TOLERANCES`` of the
-    #: reference, faster at large N), ``"torch"`` the optional torch
+    #: ``"reference"`` is bitwise the ``numpy_ref`` oracle, ``"tuned"``
+    #: adds BLAS/fused variants on the same kernels (within
+    #: ``VERIFY_TOLERANCES``, faster at large N), ``"torch"`` the optional torch
     #: backend (CPU or CUDA; requires ``pip install repro-hima[torch]``).
     #: The reduced-precision dtypes (``float16``/``bfloat16``) require
     #: the torch backend.  The default honours the ``REPRO_BACKEND``

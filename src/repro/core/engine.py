@@ -211,16 +211,17 @@ class TiledEngine:
         #: backends hold scratch that must not be shared across the
         #: sharded serving stack's threads (see :mod:`repro.core.backend`).
         self.backend = make_backend(config)
-        # Resident buffers for the fused write kernel, used only inside
-        # masked steps where this engine controls the output arrays'
-        # lifecycle (see _step_masked); plain steps return caller-owned
-        # fresh arrays and must never write into shared buffers.
+        # Resident buffers for the fused write kernel, used only where
+        # this engine controls the output arrays' lifecycle (run_batch's
+        # ping-pong, the DNC-D full-occupancy masked step); plain steps
+        # return caller-owned fresh arrays and must never write into
+        # shared buffers.
         self._fused_workspace = SK.FusedWriteWorkspace()
         self._active_workspace: Optional[SK.FusedWriteWorkspace] = None
-        # Partial-occupancy dense masked step plumbing: when set, the
-        # fused write phase skips inactive slots in place
+        # Dense-capacity masked step plumbing: when set, the fused write
+        # phase advances only these slots, in place
         # (kernels.fused_erase_write_linkage_inplace with the reused
-        # scratch dict) and traffic words scale by the active count
+        # scratch dict), and traffic words scale by the active count
         # instead of the resident batch size.
         self._fused_active: Optional[np.ndarray] = None
         self._masked_scratch: Dict = {}
@@ -269,18 +270,19 @@ class TiledEngine:
         updated *in place*: active slots advance one step, inactive
         slots are bitwise untouched, and the returned state is the same
         object.  The returned ``y`` is ``(B, output_size)`` with
-        inactive rows zero.  When ``active`` covers every slot (any
-        order — it is then a permutation, and the per-row kernels make
-        batch order irrelevant) the step runs directly on the resident
-        arrays with **zero** gather/scatter copies.  Partial occupancy
-        at or above ``config.masked_dense_min_occupancy`` (non-DNC-D)
-        takes the dense-capacity path: every cheap kernel runs over the
-        full resident batch while the O(N^2) write phase skips inactive
+        inactive rows zero.  Occupancy at or above
+        ``config.masked_dense_min_occupancy`` (non-DNC-D) takes the
+        dense-capacity path: every cheap kernel runs over the full
+        resident batch while the O(N^2) write phase advances the active
         slots in place, so only the small per-row fields are scattered
-        back.  Below the threshold (and always for DNC-D) the active
-        rows are gathered/scattered with one vectorized fancy index per
-        field (:attr:`last_state_bytes_copied` records the cost either
-        way).  Traffic words scale by the number of *active* slots.
+        back — and when ``active`` covers every slot (any order — it is
+        then a permutation, and the per-row kernels make batch order
+        irrelevant) those are rebound instead, **zero** gather/scatter
+        copies.  Below the threshold (and for DNC-D below full
+        occupancy) the active rows are gathered/scattered with one
+        vectorized fancy index per field
+        (:attr:`last_state_bytes_copied` records the cost either way).
+        Traffic words scale by the number of *active* slots.
         """
         x = np.asarray(x, dtype=self.config.np_dtype)
         self.last_state_bytes_copied = 0
@@ -322,60 +324,42 @@ class TiledEngine:
         out_size = self.reference.config.output_size
         if idx.size == 0:
             return np.zeros((b, out_size), dtype=self.config.np_dtype), state
-        if self.access.is_sparse:
-            # Sparse access always takes the dense-capacity path, at any
-            # occupancy: its cheap kernels are O(K)/O(N) per slot (so
-            # compact-path gathers of the N^2 fields would dominate the
-            # step), and the K-row sparse write kernel already skips
-            # inactive slots in place.  Sparse + distributed is rejected
-            # at config time, so no DNC-D case arises here.
-            return self._step_masked_dense(x, state, idx)
-        step_fn = (
-            self._step_distributed if self.config.distributed else self._step_dnc
-        )
-        if (
-            idx.size < b
-            and not self.config.distributed
+        if self.access.is_sparse or (
+            not self.config.distributed
             and idx.size >= self.config.masked_dense_min_occupancy * b
         ):
-            # Partial occupancy above the configured threshold: run the
-            # step over the whole resident batch with zero gathers
-            # rather than paying the compact path's per-field
-            # gather/scatter.  DNC-D is excluded — its stacked kernels
-            # view-shard the state arrays.
+            # Dense-capacity path: the step runs over the whole resident
+            # batch with zero gathers and the write phase advances the
+            # active slots in place — full occupancy included.  Sparse
+            # access takes it at any occupancy: its cheap kernels are
+            # O(K)/O(N) per slot (so compact-path gathers of the N^2
+            # fields would dominate the step).  DNC-D is excluded — its
+            # stacked kernels view-shard the state arrays (and sparse +
+            # distributed is rejected at config time).
             return self._step_masked_dense(x, state, idx)
         if idx.size == b:
-            # Dense fast path: every slot advances (the validated idx is
-            # then a permutation of the slots, and per-row kernels make
-            # dispatch order irrelevant to the computed values), so the
-            # step runs on the resident arrays directly and the state
-            # object swaps its field references to the outputs — no
-            # copy-back pass.  The fused write kernel may target the
-            # resident workspace here because this engine owns the
-            # output arrays' fate: the previous arrays are donated back
-            # as the next tick's output buffers (ping-pong), keeping the
-            # hot path allocation-free for the N^2 state.  DNC-D uses
-            # the workspace too, but *stage-and-overwrite* instead of
-            # ping-pong: its stacked-shard inputs are views of the state
-            # arrays, so _step_distributed first copies them into
-            # engine-owned staging buffers (de-aliasing input from
-            # output) and the stacked outputs live in one stable
-            # workspace buffer set — nothing is recycled because the
-            # donated full-shape arrays could never match the stacked
-            # buffer keys.  The compact path below never uses the
-            # workspace — its sub-batch shape varies with the active
-            # count, which would accumulate one retained buffer set per
-            # distinct occupancy.
-            old = (state.memory, state.linkage, state.precedence)
+            # DNC-D at full occupancy (every other full tick went dense
+            # above): the step runs on the resident arrays directly and
+            # the state object swaps its field references to the outputs
+            # — no copy-back pass.  The fused write lands in the resident
+            # workspace by *stage-and-overwrite*: the stacked-shard
+            # inputs are views of the state arrays, so
+            # _step_distributed first copies them into engine-owned
+            # staging buffers (de-aliasing input from output) and the
+            # stacked outputs live in one stable workspace buffer set.
+            # The compact path below never uses the workspace — its
+            # sub-batch shape varies with the active count, which would
+            # accumulate one retained buffer set per distinct occupancy.
             self._active_workspace = self._fused_workspace
             try:
-                y, new_state = step_fn(x, state)
+                y, new_state = self._step_distributed(x, state)
             finally:
                 self._active_workspace = None
             state.assign_from(new_state)
-            if not self.config.distributed:
-                self._fused_workspace.recycle(*old)
             return y, state
+        step_fn = (
+            self._step_distributed if self.config.distributed else self._step_dnc
+        )
         prof = self.profiler
         if prof is not None:
             tg = prof.now()
@@ -396,27 +380,29 @@ class TiledEngine:
     def _step_masked_dense(
         self, x: np.ndarray, state: NumpyDNCState, idx: np.ndarray
     ) -> Tuple[np.ndarray, NumpyDNCState]:
-        """Partial-occupancy masked step over the full resident batch.
+        """Masked step over the full resident batch, write phase in place.
 
-        Above ``masked_dense_min_occupancy`` the compact path's
+        At or above ``masked_dense_min_occupancy`` the compact path's
         per-field gather/scatter of the active rows costs more than
         simply computing the cheap per-row kernels for every resident
         slot, so this path steps the whole capacity-``B`` batch with
-        zero gathers: the O(N^2) write phase skips inactive slots *in
-        place* (:func:`repro.core.kernels.fused_erase_write_linkage_inplace`),
-        and only the small per-row state fields are scattered back.
-        Inactive slots stay bitwise untouched, inactive ``y`` rows are
-        zero, and traffic words scale by the active count — the same
-        masked-step contract as the compact path, at
+        zero gathers: the O(N^2) write phase advances the active slots
+        *in place* (:func:`repro.core.kernels.fused_erase_write_linkage_inplace`),
+        and only the small per-row state fields are scattered back — or,
+        at full occupancy, rebound (every row is new, so nothing is
+        copied).  Inactive slots stay bitwise untouched, inactive ``y``
+        rows are zero, and traffic words scale by the active count — the
+        same masked-step contract as the compact path, at
         :attr:`last_state_bytes_copied` cost of one write per active
         row of the non-resident fields (the N^2 fields never move).
 
         Sparse access (``access_policy="sparse"``) routes *every* masked
-        step here, including full occupancy: its write phase
+        step here: its write phase
         (:func:`repro.core.kernels.sparse_erase_write_linkage_inplace`)
         is masked-in-place by construction.
         """
         b = state.batch_size
+        full = idx.size == b
         self._traffic_words_scale = int(idx.size)
         self._fused_active = idx
         try:
@@ -433,14 +419,18 @@ class TiledEngine:
             cur = getattr(state, name)
             if new is cur:
                 continue  # the masked fused write phase updated it in place
+            if full:
+                setattr(state, name, new)
+                continue
             cur[idx] = new[idx]
             copied += idx.size * cur[0].nbytes
         self.last_state_bytes_copied = copied
         if prof is not None:
             prof.lap("gather_scatter", tg, copied)
-        mask = np.zeros(b, dtype=bool)
-        mask[idx] = True
-        y[~mask] = 0.0
+        if not full:
+            mask = np.zeros(b, dtype=bool)
+            mask[idx] = True
+            y[~mask] = 0.0
         return y, state
 
     def _traffic_words(self, lead_batch: int) -> int:
@@ -618,17 +608,16 @@ class TiledEngine:
         kernel computes the update — the dataflow is a property of the
         partition, not of the kernel fusion.
         """
-        cfg = self.config
         mmap = self.memory_map
         log = self.traffic
-        for t in range(cfg.num_tiles):
-            rows, cols = mmap.linkage_block(t)
-            # Fetch w_w row segment and (w_w, p) column segments from the
-            # row-wise owners of those index ranges.
-            for owner in mmap.row_segment_owners(rows):
-                log.add("linkage", owner, t, b * mmap.rows_per_tile)
-            for owner in mmap.row_segment_owners(cols):
-                log.add("linkage", owner, t, 2 * b * mmap.rows_per_tile)
+        words = b * mmap.rows_per_tile
+        # Fetch w_w row segment and (w_w, p) column segments from the
+        # row-wise owners of those index ranges.
+        for t, row_owners, col_owners, _, _ in mmap.linkage_dataflow:
+            for owner in row_owners:
+                log.add("linkage", owner, t, words)
+            for owner in col_owners:
+                log.add("linkage", owner, t, 2 * words)
 
     def _forward_backward(
         self, linkage: np.ndarray, prev_read_w: np.ndarray, log: TrafficLog
@@ -643,21 +632,19 @@ class TiledEngine:
         fusion — while the profiler's bytes column tracks the backend
         via ``access.bytes_touched``.
         """
-        cfg = self.config
         mmap = self.memory_map
         r = prev_read_w.shape[-2]
         b = self._traffic_words(_lead_batch(prev_read_w.shape[:-2]))
         nt_h, nt_w = mmap.nt_h, mmap.nt_w
-        for t in range(cfg.num_tiles):
-            rows, cols = mmap.linkage_block(t)
+        words = b * r * mmap.rows_per_tile
+        for t, row_owners, col_owners, bi, bj in mmap.linkage_dataflow:
             # Operand segments arrive from their row-wise owners.
-            for owner in mmap.row_segment_owners(cols):
-                log.add("forward_backward", owner, t, b * r * mmap.rows_per_tile)
-            for owner in mmap.row_segment_owners(rows):
-                log.add("forward_backward", owner, t, b * r * mmap.rows_per_tile)
+            for owner in col_owners:
+                log.add("forward_backward", owner, t, words)
+            for owner in row_owners:
+                log.add("forward_backward", owner, t, words)
             # Partial results reduce across the block row/column; the last
             # tile in each chain forwards to the segment owner.
-            bi, bj = mmap.linkage_grid_index(t)
             if bj + 1 < nt_w:
                 log.add("forward_backward", t, t + 1, b * r * mmap.block_rows)
             if bi + 1 < nt_h:

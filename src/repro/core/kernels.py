@@ -1,6 +1,6 @@
 """Kernel registry and stacked shard kernels.
 
-Two things live here:
+Three things live here:
 
 1. The paper's Table 1 as executable metadata: each :class:`KernelSpec`
    carries the kernel's type (access vs state), category, primitives, and
@@ -14,10 +14,11 @@ Two things live here:
    einsum/matmul instead of a Python loop over tiles, optionally under an
    additional leading batch axis.
 3. The *fused* write-phase kernel :func:`fused_erase_write_linkage`:
-   erase+write, temporal-linkage, and precedence updates in one sweep
-   over memory rows (bitwise identical to the three-pass reference
-   kernels), with a masked variant that skips inactive batch slots for
-   the serving layer's resident state arena.
+   erase+write, temporal-linkage, and precedence updates in one
+   cache-blocked sweep over memory rows (bitwise identical to the
+   three-pass reference kernels), and its masked in-place companion
+   :func:`fused_erase_write_linkage_inplace` for the serving layer's
+   resident state arena — one body, shared by every CPU backend.
 """
 
 from __future__ import annotations
@@ -176,25 +177,40 @@ def stacked_read_scores(
 # Fused write-phase kernel
 # ---------------------------------------------------------------------------
 
+#: Target bytes per streamed linkage panel (the input panel, the output
+#: panel and the per-panel temporary each get roughly this much, so the
+#: sweep's working set is ~3x this) — sized to sit inside a per-core L2.
+PANEL_BYTES = 1 << 18
+
+#: Below this many memory rows one ``(N, N)`` matrix is cache-resident on
+#: its own, so the BLAS-backed variants (the tuned backend's rank-1
+#: accumulate and fused forward/backward) have nothing to amortize and
+#: stay on the plain forms.
+MIN_BLOCKED_N = 128
+
+
+def panel_rows(n: int, row_bytes: int) -> int:
+    """Rows of an ``n``-row matrix per streamed panel of ~:data:`PANEL_BYTES`."""
+    return max(1, min(n, PANEL_BYTES // row_bytes))
+
 
 class FusedWriteWorkspace:
     """Resident output + scratch buffers for :func:`fused_erase_write_linkage`.
 
-    Allocating the two linkage-sized arrays (the new linkage and the
-    ``w x p`` outer-product term) fresh every step costs more in page
-    faults than the arithmetic itself once ``N`` is a few hundred.  A
-    workspace keeps one set of buffers per (shape, dtype) and the kernel
-    writes into them instead, so a long-running caller — the engine's
-    masked in-place step driving the serving arena — touches warm pages
-    every tick.
+    Allocating the linkage-sized output fresh every step costs more in
+    page faults than the arithmetic itself once ``N`` is a few hundred.
+    A workspace keeps one set of output buffers per (shape, dtype), plus
+    the sweep's panel temporaries, and the kernel writes into them
+    instead, so a long-running caller — :meth:`TiledEngine.run_batch`,
+    the DNC-D full-occupancy masked step — touches warm pages every
+    step.
 
     Ownership contract: the arrays returned by a ``workspace=`` call are
     owned by the workspace until the caller either copies them out or
-    hands replacement buffers back via :meth:`recycle` (the engine's
-    dense masked step does the latter, ping-ponging the arena's previous
-    arrays in as the next tick's outputs).  Calling the kernel again for
-    the same shapes without doing one of those overwrites the previous
-    results.
+    hands replacement buffers back via :meth:`recycle` (``run_batch``
+    does the latter, ping-ponging the previous state's arrays in as the
+    next step's outputs).  Calling the kernel again for the same shapes
+    without doing one of those overwrites the previous results.
     """
 
     #: Output roles, in the order the kernel returns them (and the order
@@ -203,6 +219,8 @@ class FusedWriteWorkspace:
 
     def __init__(self):
         self._buffers = {}
+        #: The sweep's panel temporaries (see :func:`_scratch_rows`).
+        self.scratch: Dict = {}
 
     @staticmethod
     def _key(role: str, array: np.ndarray) -> Tuple:
@@ -227,128 +245,6 @@ class FusedWriteWorkspace:
             self._buffers[self._key(role, array)] = array
 
 
-def fused_erase_write_linkage(
-    memory: np.ndarray,
-    linkage: np.ndarray,
-    precedence: np.ndarray,
-    write_w: np.ndarray,
-    erase: np.ndarray,
-    value: np.ndarray,
-    active: Optional[np.ndarray] = None,
-    workspace: Optional[FusedWriteWorkspace] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One fused sweep for the DNC write phase: erase+write, linkage, precedence.
-
-    **Contract** (the one a hardware/GPU backend implements as a single
-    pass over memory rows; the engine's default write path since the
-    resident-arena PR):
-
-    * inputs are the *previous* step's ``memory (..., N, W)``,
-      ``linkage (..., N, N)``, ``precedence (..., N)`` plus this step's
-      ``write_w (..., N)`` and the interface's ``erase`` / ``value``
-      write vectors (broadcastable to ``(..., W)``);
-    * returns ``(new_memory, new_linkage, new_precedence)`` **bitwise
-      identical** to the three-pass sequence
-      :func:`repro.dnc.numpy_ref.erase_write` →
-      :func:`repro.dnc.numpy_ref.linkage_update` →
-      :func:`repro.dnc.numpy_ref.precedence_update` (the per-row ufunc
-      order is replicated exactly, so no tolerance is needed);
-    * inputs are never mutated.
-
-    The fusion wins by sharing the expanded ``write_w`` column across all
-    three updates and running the two O(N^2)-shaped updates as in-place
-    passes over a single temporary each, instead of three independent
-    kernels each materializing full-size intermediates.
-
-    ``active`` — the masked variant for slot-pinned batched state: an
-    integer index array (or boolean mask) over the leading batch axis.
-    Only the selected slots are computed; unselected slots of the outputs
-    are bitwise copies of the inputs.  Skipping inactive slots keeps the
-    kernel cost proportional to live occupancy rather than arena
-    capacity.
-
-    ``workspace`` — write outputs into a :class:`FusedWriteWorkspace`'s
-    resident buffers instead of fresh allocations (still bitwise: every
-    output element is overwritten, so buffer history never leaks).  See
-    the workspace's ownership contract; without it the kernel returns
-    freshly allocated arrays the caller owns outright.
-    """
-    if active is not None:
-        if memory.ndim < 3:
-            raise ValueError(
-                "fused_erase_write_linkage(active=...) needs a leading "
-                f"batch axis; got memory of shape {memory.shape}"
-            )
-        idx = np.asarray(active)
-        if idx.dtype == np.bool_:
-            idx = np.flatnonzero(idx)
-        out_memory = memory.copy()
-        out_linkage = linkage.copy()
-        out_precedence = precedence.copy()
-        if idx.size:
-            sub = fused_erase_write_linkage(
-                memory[idx], linkage[idx], precedence[idx],
-                write_w[idx], np.broadcast_to(erase, write_w.shape[:-1]
-                + erase.shape[-1:])[idx],
-                np.broadcast_to(value, write_w.shape[:-1]
-                + value.shape[-1:])[idx],
-            )
-            out_memory[idx], out_linkage[idx], out_precedence[idx] = sub
-        return out_memory, out_linkage, out_precedence
-
-    w_col = write_w[..., :, None]
-    if workspace is None:
-        new_memory = np.multiply(w_col, erase[..., None, :])
-        new_linkage = np.subtract(1.0 - w_col, write_w[..., None, :])
-        mem_term = w_col * value[..., None, :]
-        link_term = w_col * precedence[..., None, :]
-        new_precedence = np.empty_like(precedence)
-    else:
-        out_memory = workspace._get("memory", memory)
-        out_linkage = workspace._get("linkage", linkage)
-        out_precedence = workspace._get("precedence", precedence)
-        if (out_memory is memory or out_linkage is linkage
-                or out_precedence is precedence):
-            raise ValueError(
-                "workspace output buffer aliases its input; a caller "
-                "recycled the arrays of the state it is about to step"
-            )
-        new_memory = np.multiply(w_col, erase[..., None, :], out=out_memory)
-        new_linkage = np.subtract(
-            1.0 - w_col, write_w[..., None, :], out=out_linkage
-        )
-        mem_term = np.multiply(
-            w_col, value[..., None, :],
-            out=workspace._get("memory_scratch", memory),
-        )
-        link_term = np.multiply(
-            w_col, precedence[..., None, :],
-            out=workspace._get("linkage_scratch", linkage),
-        )
-        new_precedence = out_precedence
-
-    # Memory rows: m * (1 - w x e) + w x v, same ufunc order as
-    # repro.dnc.numpy_ref.erase_write (bitwise contract).
-    np.subtract(1.0, new_memory, out=new_memory)
-    new_memory *= memory
-    new_memory += mem_term
-
-    # Linkage cells: ((1 - w_i) - w_j) * L + w_i * p_j, the reference
-    # association, as in-place passes over at most two N^2 buffers.
-    new_linkage *= linkage
-    new_linkage += link_term
-    n = write_w.shape[-1]
-    new_linkage[..., np.arange(n), np.arange(n)] = 0.0
-
-    # Precedence: (1 - sum w) * p + w, from the *previous* precedence.
-    np.multiply(
-        1.0 - write_w.sum(axis=-1, keepdims=True), precedence,
-        out=new_precedence,
-    )
-    new_precedence += write_w
-    return new_memory, new_linkage, new_precedence
-
-
 def _scratch_rows(
     scratch: Dict, key: str, rows: int, cols: int, dtype
 ) -> np.ndarray:
@@ -365,6 +261,176 @@ def _scratch_rows(
     return held[: rows * cols].reshape(rows, cols)
 
 
+def _over_lead(vector: np.ndarray, lead: Tuple[int, ...]) -> np.ndarray:
+    """``vector (..., W)`` as a ``lead + (W,)`` view, so slots can index it."""
+    if vector.shape[:-1] == lead:
+        return vector
+    return np.broadcast_to(vector, lead + vector.shape[-1:])
+
+
+def _write_sweep(
+    src, dst, write_w, erase, value, scratch, ger, slots=None
+) -> None:
+    """The one body of the dense write phase, walked in cache-sized panels.
+
+    ``src`` / ``dst`` are ``(memory, linkage, precedence)`` triples with
+    at least one lead axis (``erase`` / ``value`` already broadcast to
+    it); ``dst`` may be ``src`` itself (every cell's old value is
+    consumed by the ufunc that overwrites it, and the precedence is
+    rewritten only after the last linkage panel read it).  ``slots``
+    restricts the sweep to those indices of the leading axis, one at a
+    time; the rest of ``dst`` is not touched.
+
+    The leading axis is walked in chunks and each chunk's linkage in row
+    panels of about :data:`PANEL_BYTES`: a large matrix streams through
+    one panel at a time — read once, written once, both temporaries hot
+    — while small matrices (DNC-D's stacked ``(B, Nt, n, n)`` tiles, a
+    toy ``N``) run as one cross-lead slab, i.e. whole-array ufuncs.
+    Every update is elementwise per row, so panel and chunk boundaries
+    never change a value: per cell this is the ufunc sequence of the
+    three ``repro.dnc.numpy_ref`` kernels, bit for bit — except under
+    ``ger`` (a BLAS ``?ger`` for the linkage dtype), which folds the
+    ``w_i * p_j`` multiply and add into one rank-1 pass per contiguous
+    panel, rounding once where the ufuncs round twice.
+    """
+    memory, linkage, precedence = src
+    out_memory, out_linkage, out_precedence = dst
+    lead, n = write_w.shape[:-1], write_w.shape[-1]
+    width = memory.shape[-1]
+    inner = lead[1:]
+    itemsize = linkage.dtype.itemsize
+    row_bytes = math.prod(inner) * n * itemsize
+    rows_per = panel_rows(n, row_bytes)
+    # ?ger updates a panel in place only as a 2-D row slice of a C matrix.
+    use_ger = (
+        ger is not None and not inner
+        and out_linkage.strides[-2:] == (row_bytes, itemsize)
+    )
+    if slots is None:
+        slots = range(lead[0])
+        per = PANEL_BYTES // (n * row_bytes)  # whole matrices per panel
+        if per > 1 and not use_ger:
+            slots = [slice(lo, lo + per) for lo in range(0, lead[0], per)]
+    # Out of place the outputs double as accumulators (one stream fewer
+    # per pass than building in scratch); in place they hold live state.
+    in_place = out_memory is memory
+    diag = np.arange(n)
+    for sl in slots:
+        # A single slot (an int) drops its lead axis: plain 2-D operands.
+        w = write_w[sl]
+        chunk = w.shape[:-1]
+        cells = math.prod(chunk)
+        w_col = w[..., :, None]
+        # Memory rows: m * (1 - w x e) + w x v, reference ufunc order.
+        mw = _scratch_rows(
+            scratch, "fused.mw", cells * n, width, memory.dtype
+        ).reshape(chunk + (n, width))
+        m_out = out_memory[sl]
+        acc = mw if in_place else m_out
+        np.multiply(w_col, erase[sl][..., None, :], out=acc)
+        np.subtract(1.0, acc, out=acc)
+        np.multiply(acc, memory[sl], out=m_out)
+        np.multiply(w_col, value[sl][..., None, :], out=mw)
+        m_out += mw
+        # Linkage cells: ((1 - w_i) - w_j) * L + w_i * p_j, zero diagonal.
+        one_minus_w = 1.0 - w_col
+        w_row = w[..., None, :]
+        p = precedence[sl]
+        p_row = p[..., None, :]
+        link_in, link_out = linkage[sl], out_linkage[sl]
+        for r0 in range(0, n, rows_per):
+            r1 = min(n, r0 + rows_per)
+            t = _scratch_rows(
+                scratch, "fused.panel", cells * (r1 - r0), n, linkage.dtype
+            ).reshape(chunk + (r1 - r0, n))
+            panel = link_out[..., r0:r1, :]
+            acc = t if in_place else panel
+            np.subtract(one_minus_w[..., r0:r1, :], w_row, out=acc)
+            np.multiply(acc, link_in[..., r0:r1, :], out=panel)
+            if use_ger:
+                # panel.T is F-contiguous, so ?ger accumulates in place.
+                ger(1.0, p, w[r0:r1], a=panel.T, overwrite_a=1)
+            else:
+                np.multiply(w_col[..., r0:r1, :], p_row, out=t)
+                panel += t
+        link_out[..., diag, diag] = 0.0
+        # Precedence: (1 - sum w) * p + w, from the *previous* precedence
+        # (the panels above have consumed it).
+        p_out = out_precedence[sl]
+        np.multiply(1.0 - w.sum(axis=-1, keepdims=True), p, out=p_out)
+        p_out += w
+
+
+def fused_erase_write_linkage(
+    memory: np.ndarray,
+    linkage: np.ndarray,
+    precedence: np.ndarray,
+    write_w: np.ndarray,
+    erase: np.ndarray,
+    value: np.ndarray,
+    workspace: Optional[FusedWriteWorkspace] = None,
+    ger: Optional[Callable] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One fused sweep for the DNC write phase: erase+write, linkage, precedence.
+
+    **Contract** (the one a hardware/GPU backend implements as a single
+    pass over memory rows):
+
+    * inputs are the *previous* step's ``memory (..., N, W)``,
+      ``linkage (..., N, N)``, ``precedence (..., N)`` plus this step's
+      ``write_w (..., N)`` and the interface's ``erase`` / ``value``
+      write vectors (broadcastable to ``(..., W)``);
+    * returns ``(new_memory, new_linkage, new_precedence)`` **bitwise
+      identical** to the three-pass sequence
+      :func:`repro.dnc.numpy_ref.erase_write` →
+      :func:`repro.dnc.numpy_ref.linkage_update` →
+      :func:`repro.dnc.numpy_ref.precedence_update` (see
+      :func:`_write_sweep`: the per-cell ufunc order is replicated
+      exactly, so no tolerance is needed);
+    * inputs are never mutated.
+
+    The fusion wins by streaming the ``N^2`` linkage once, in
+    cache-sized row panels, instead of materializing full-size
+    intermediates per reference kernel (~4 sweeps).
+
+    ``workspace`` — write outputs into a :class:`FusedWriteWorkspace`'s
+    resident buffers instead of fresh allocations (still bitwise: every
+    output element is overwritten, so buffer history never leaks).  See
+    the workspace's ownership contract; without it the kernel returns
+    freshly allocated arrays the caller owns outright.
+
+    ``ger`` — an optional BLAS ``?ger`` matching the linkage dtype: the
+    ``w_i * p_j`` accumulate of contiguous panels then rounds once
+    (ulp-scale off the oracle on the linkage; memory and precedence
+    stay bitwise).
+    """
+    src = (memory, linkage, precedence)
+    if workspace is None:
+        dst = tuple(np.empty(a.shape, dtype=a.dtype) for a in src)
+        scratch: Dict = {}
+    else:
+        dst = tuple(
+            workspace._get(role, a) for role, a in zip(workspace.ROLES, src)
+        )
+        if any(out is a for out, a in zip(dst, src)):
+            raise ValueError(
+                "workspace output buffer aliases its input; a caller "
+                "recycled the arrays of the state it is about to step"
+            )
+        scratch = workspace.scratch
+    lead = write_w.shape[:-1]
+    erase, value = _over_lead(erase, lead), _over_lead(value, lead)
+    if not lead:
+        # Unbatched: lend the sweep its lead axis (views, no copies).
+        _write_sweep(
+            tuple(a[None] for a in src), tuple(a[None] for a in dst),
+            write_w[None], erase[None], value[None], scratch, ger,
+        )
+    else:
+        _write_sweep(src, dst, write_w, erase, value, scratch, ger)
+    return dst
+
+
 def fused_erase_write_linkage_inplace(
     memory: np.ndarray,
     linkage: np.ndarray,
@@ -374,28 +440,28 @@ def fused_erase_write_linkage_inplace(
     value: np.ndarray,
     active: np.ndarray,
     scratch: Optional[Dict] = None,
+    ger: Optional[Callable] = None,
 ) -> None:
     """Masked fused write phase mutating the resident arrays in place.
 
     The zero-copy companion of :func:`fused_erase_write_linkage` for
-    slot-pinned batched state at *partial* occupancy: rows ``active`` of
-    ``memory (B, N, W)``, ``linkage (B, N, N)``, and ``precedence
-    (B, N)`` are advanced one write step **in place** — no full-capacity
-    input copies, no gather of the O(N^2) fields — and every other row
-    is left bitwise untouched.  Each active row's values are bitwise
-    identical to :func:`fused_erase_write_linkage` on that row (the same
-    ufunc sequence runs per slot, into a reused scratch buffer that is
-    copied back only after every old value it depends on has been read).
+    slot-pinned batched state: rows ``active`` (an integer index array
+    or boolean mask over the leading batch axis) of ``memory (B, N, W)``,
+    ``linkage (B, N, N)`` and ``precedence (B, N)`` are advanced one
+    write step **where they live** — no full-capacity input copies, no
+    gather of the O(N^2) fields, no linkage-sized scratch — and every
+    other row is left bitwise untouched.  Each active row's values are
+    bitwise identical to :func:`fused_erase_write_linkage` on that row
+    (the same :func:`_write_sweep` runs per slot, source and destination
+    coinciding).
 
     The per-slot loop is deliberate: a vectorized fancy-index pass would
     have to gather the active ``N^2`` rows first, which is exactly the
-    copy this kernel exists to avoid; the loop body is a handful of
-    whole-row vectorized ufuncs, so Python overhead is negligible
-    against the O(N^2) arithmetic.
+    copy this kernel exists to avoid.
 
     ``scratch`` — an optional dict the caller keeps between invocations
-    so the three per-slot buffers (one ``(N, W)``, two ``(N, N)``) are
-    allocated once per (shape, dtype) rather than per call.
+    so the two panel temporaries are allocated once rather than per
+    call.  ``ger`` — as for :func:`fused_erase_write_linkage`.
     """
     if memory.ndim < 3:
         raise ValueError(
@@ -405,36 +471,13 @@ def fused_erase_write_linkage_inplace(
     idx = np.asarray(active)
     if idx.dtype == np.bool_:
         idx = np.flatnonzero(idx)
-    if idx.size == 0:
-        return
-    n = write_w.shape[-1]
-    scratch = {} if scratch is None else scratch
-    mw = _scratch_rows(scratch, "mw", *memory.shape[-2:], memory.dtype)
-    nn = _scratch_rows(scratch, "nn", n, n, linkage.dtype)
-    nn2 = _scratch_rows(scratch, "nn2", n, n, linkage.dtype)
-    erase_b = np.broadcast_to(erase, write_w.shape[:-1] + erase.shape[-1:])
-    value_b = np.broadcast_to(value, write_w.shape[:-1] + value.shape[-1:])
-    diag = np.arange(n)
-    for s in idx:
-        m, link, p, w = memory[s], linkage[s], precedence[s], write_w[s]
-        w_col = w[:, None]
-        # Memory rows: m * (1 - w x e) + w x v, reference ufunc order.
-        np.multiply(w_col, erase_b[s][None, :], out=mw)
-        np.subtract(1.0, mw, out=mw)
-        np.multiply(mw, m, out=mw)
-        mw += w_col * value_b[s][None, :]
-        # Linkage cells: ((1 - w_i) - w_j) * L + w_i * p_j.
-        np.subtract(1.0 - w_col, w[None, :], out=nn)
-        np.multiply(nn, link, out=nn)
-        np.multiply(w_col, p[None, :], out=nn2)
-        nn += nn2
-        nn[diag, diag] = 0.0
-        # Precedence reads old p; linkage above already consumed it too,
-        # so it may now be overwritten: (1 - sum w) * p + w.
-        np.multiply(1.0 - w.sum(), p, out=p)
-        p += w
-        m[...] = mw
-        link[...] = nn
+    lead = write_w.shape[:-1]
+    state = (memory, linkage, precedence)
+    _write_sweep(
+        state, state, write_w, _over_lead(erase, lead),
+        _over_lead(value, lead), {} if scratch is None else scratch, ger,
+        slots=idx,
+    )
 
 
 def sparse_erase_write_linkage_inplace(

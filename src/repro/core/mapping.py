@@ -31,6 +31,15 @@ class MemoryMap:
             )
         self.block_rows = self.memory_size // self.nt_h
         self.block_cols = self.memory_size // self.nt_w
+        #: Per-tile linkage dataflow, fixed by the partition and so
+        #: computed once: ``(tile, row_owners, col_owners, bi, bj)`` —
+        #: the row-wise owners of the tile's block rows / columns and its
+        #: grid coordinates.  The traffic loggers walk this every step.
+        self.linkage_dataflow = tuple(
+            (t,) + tuple(map(self.row_segment_owners, self.linkage_block(t)))
+            + self.linkage_grid_index(t)
+            for t in range(self.num_tiles)
+        )
 
     # ------------------------------------------------------------------
     # Row-wise external/state memories

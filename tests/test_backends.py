@@ -2,9 +2,9 @@
 
 The acceptance bars for the pluggable backend layer:
 
-* the ``reference`` backend is the pre-seam numpy path *verbatim* — its
-  methods must be bitwise-identical to the inline expressions they
-  replaced, on both the dense and sparse write phases;
+* the ``reference`` backend is bitwise the ``numpy_ref`` oracle — its
+  methods must be bitwise-identical to the oracle expressions, on both
+  the dense and sparse write phases;
 * the ``tuned`` backend must stay within the engine's per-dtype
   ``VERIFY_TOLERANCES`` of the reference on randomized trajectories
   across every engine mode (dense, distributed, sparse, masked,
@@ -41,7 +41,7 @@ from repro.errors import ConfigError
 TOLERANCES = TiledEngine.VERIFY_TOLERANCES
 
 #: Large enough that the tuned backend's blocked write phase actually
-#: engages (``memory_size >= TunedBackend.min_blocked_n``) while staying
+#: engages (``memory_size >= SK.MIN_BLOCKED_N``) while staying
 #: fast as a unit test.
 BLOCKED_CONFIG = dict(
     memory_size=128, word_size=16, num_reads=2, num_tiles=4,
@@ -418,7 +418,7 @@ class TestTunedNumerics:
         single-rounding BLAS accumulation); memory and precedence see
         the reference ufunc sequence exactly."""
         gen = np.random.default_rng(5)
-        n = TunedBackend.min_blocked_n * 2
+        n = SK.MIN_BLOCKED_N * 2
         memory = gen.standard_normal((2, n, 16))
         linkage = gen.standard_normal((2, n, n)) * 0.01
         precedence = gen.random((2, n))
@@ -433,10 +433,10 @@ class TestTunedNumerics:
         assert link_diff <= 1e-12
 
     def test_small_n_write_phase_delegates_bitwise(self):
-        """Below ``min_blocked_n`` the whole fused write phase is the
+        """Below ``MIN_BLOCKED_N`` the whole fused write phase is the
         reference kernel, bit for bit."""
         gen = np.random.default_rng(6)
-        n = TunedBackend.min_blocked_n // 2
+        n = SK.MIN_BLOCKED_N // 2
         args = (
             gen.standard_normal((3, n, 8)),
             gen.standard_normal((3, n, n)) * 0.01,
@@ -470,7 +470,7 @@ class TestTunedNumerics:
         tolerance, not bitwise.
         """
         gen = np.random.default_rng(7)
-        n = TunedBackend.min_blocked_n * 2
+        n = SK.MIN_BLOCKED_N * 2
         linkage = gen.standard_normal((3, n, n)) * 0.01
         read_w = gen.random((3, 2, n)) * 0.05
         ref_f, ref_b = ReferenceBackend().forward_backward(linkage, read_w)
@@ -480,10 +480,10 @@ class TestTunedNumerics:
         assert float(np.max(np.abs(bwd - ref_b))) <= TOLERANCES["float64"]
 
     def test_small_n_read_phase_delegates_bitwise(self):
-        """Below ``min_blocked_n`` the fused sweep is the reference
+        """Below ``MIN_BLOCKED_N`` the fused sweep is the reference
         matmul pair, bit for bit."""
         gen = np.random.default_rng(8)
-        n = TunedBackend.min_blocked_n // 2
+        n = SK.MIN_BLOCKED_N // 2
         linkage = gen.standard_normal((3, n, n)) * 0.01
         read_w = gen.random((3, 2, n)) * 0.05
         ref = ReferenceBackend().forward_backward(linkage, read_w)
@@ -496,7 +496,7 @@ class TestTunedNumerics:
         per-row results stay within tolerance of the reference rows and
         inactive rows are exact zeros."""
         gen = np.random.default_rng(9)
-        n = TunedBackend.min_blocked_n * 2
+        n = SK.MIN_BLOCKED_N * 2
         linkage = gen.standard_normal((4, n, n)) * 0.01
         read_w = gen.random((4, 2, n)) * 0.05
         active = np.array([True, False, True, False])

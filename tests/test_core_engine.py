@@ -138,6 +138,66 @@ class TestTrafficAccounting:
 
         assert sort_words(0.5) < sort_words(0.0)
 
+    @pytest.mark.parametrize("num_tiles", [4, 8, 16])
+    @pytest.mark.parametrize(
+        "features",
+        [{}, {"submatrix_partition": False},
+         {"access_policy": "sparse", "access_top_k": 16}],
+        ids=["dense", "rowwise", "sparse"],
+    )
+    def test_linkage_events_match_the_literal_per_tile_loops(
+        self, num_tiles, features, rng
+    ):
+        """The per-tile dataflow tuples ``MemoryMap`` computes once must
+        log exactly what recomputing block / owners / grid index for
+        every tile on every step logged: same events, same order."""
+        config = HiMAConfig(
+            memory_size=64, word_size=16, num_reads=2, num_tiles=num_tiles,
+            hidden_size=32, two_stage_sort=False, **features,
+        )
+        engine = TiledEngine(config, rng=0)
+        batch = 3
+        engine.step(
+            rng.standard_normal((batch, 16)),
+            engine.initial_state(batch_size=batch),
+        )
+        mmap, r = engine.memory_map, config.num_reads
+        rows = mmap.rows_per_tile
+        fb_chain = (mmap.block_rows, mmap.block_cols)
+        if engine.access.is_sparse:
+            rows = max(1, config.access_top_k // num_tiles)
+            fb_chain = (rows, rows)
+        want = {"linkage": [], "forward_backward": []}
+
+        def add(kernel, src, dst, words):
+            if src != dst:
+                want[kernel].append((kernel, src, dst, words))
+
+        for t in range(num_tiles):
+            block_rows, block_cols = mmap.linkage_block(t)
+            for owner in mmap.row_segment_owners(block_rows):
+                add("linkage", owner, t, batch * rows)
+            for owner in mmap.row_segment_owners(block_cols):
+                add("linkage", owner, t, 2 * batch * rows)
+        for t in range(num_tiles):
+            block_rows, block_cols = mmap.linkage_block(t)
+            for owner in mmap.row_segment_owners(block_cols):
+                add("forward_backward", owner, t, batch * r * rows)
+            for owner in mmap.row_segment_owners(block_rows):
+                add("forward_backward", owner, t, batch * r * rows)
+            bi, bj = mmap.linkage_grid_index(t)
+            if bj + 1 < mmap.nt_w:
+                add("forward_backward", t, t + 1, batch * r * fb_chain[0])
+            if bi + 1 < mmap.nt_h:
+                add("forward_backward", t, t + mmap.nt_w,
+                    batch * r * fb_chain[1])
+        for kernel, events in want.items():
+            got = [
+                (e.kernel, e.src, e.dst, e.words)
+                for e in engine.traffic.events if e.kernel == kernel
+            ]
+            assert got == events, kernel
+
 
 class TestTrafficCompaction:
     KERNELS = ("linkage", "memory_read", "similarity")

@@ -8,9 +8,16 @@ tolerance — so every comparison here uses exact equality.
 import numpy as np
 import pytest
 
+from repro.core import backend as backend_module
+from repro.core import kernels as SK
+from repro.core.backend import ReferenceBackend, TunedBackend
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
-from repro.core.kernels import FusedWriteWorkspace, fused_erase_write_linkage
+from repro.core.kernels import (
+    FusedWriteWorkspace,
+    fused_erase_write_linkage,
+    fused_erase_write_linkage_inplace,
+)
 from repro.dnc import numpy_ref as K
 
 
@@ -56,37 +63,121 @@ def test_fused_does_not_mutate_inputs(rng):
 
 
 class TestMaskedVariant:
+    """``active=`` lives on the in-place kernel only (the out-of-place
+    form copied all three arrays before gathering and had no caller)."""
+
     def test_active_subset_matches_subset_compute(self, rng):
         inputs = random_write_inputs(rng, (5,))
         idx = np.array([3, 0])
-        got = fused_erase_write_linkage(*inputs, active=idx)
+        resident = [a.copy() for a in inputs[:3]]
+        fused_erase_write_linkage_inplace(*resident, *inputs[3:], active=idx)
         sub = fused_erase_write_linkage(*(a[idx] for a in inputs))
-        for out, full_in, sub_out in zip(got, inputs[:3], sub):
+        for out, full_in, sub_out in zip(resident, inputs[:3], sub):
             assert np.array_equal(out[idx], sub_out)
-            # Inactive slots pass through bitwise.
+            # Inactive slots stay bitwise untouched.
             inactive = [i for i in range(5) if i not in idx]
             assert np.array_equal(out[inactive], full_in[inactive])
 
     def test_boolean_mask_accepted(self, rng):
         inputs = random_write_inputs(rng, (4,))
         mask = np.array([True, False, True, False])
-        via_mask = fused_erase_write_linkage(*inputs, active=mask)
-        via_idx = fused_erase_write_linkage(
-            *inputs, active=np.flatnonzero(mask)
+        via_mask = [a.copy() for a in inputs[:3]]
+        via_idx = [a.copy() for a in inputs[:3]]
+        fused_erase_write_linkage_inplace(*via_mask, *inputs[3:], active=mask)
+        fused_erase_write_linkage_inplace(
+            *via_idx, *inputs[3:], active=np.flatnonzero(mask)
         )
         for a, b in zip(via_mask, via_idx):
             assert np.array_equal(a, b)
 
     def test_empty_active_passes_everything_through(self, rng):
         inputs = random_write_inputs(rng, (3,))
-        got = fused_erase_write_linkage(*inputs, active=np.array([], dtype=int))
-        for out, full_in in zip(got, inputs[:3]):
+        resident = [a.copy() for a in inputs[:3]]
+        fused_erase_write_linkage_inplace(
+            *resident, *inputs[3:], active=np.array([], dtype=int)
+        )
+        for out, full_in in zip(resident, inputs[:3]):
             assert np.array_equal(out, full_in)
 
     def test_unbatched_active_rejected(self, rng):
         inputs = random_write_inputs(rng, ())
         with pytest.raises(ValueError):
+            fused_erase_write_linkage_inplace(*inputs, active=np.array([0]))
+        with pytest.raises(TypeError):  # the out-of-place form has no mask
             fused_erase_write_linkage(*inputs, active=np.array([0]))
+
+
+# ---------------------------------------------------------------------------
+# The shared sweep, every walk x every calling form, against the oracle
+# ---------------------------------------------------------------------------
+
+
+def _panels(rng, dtype, monkeypatch):
+    """N=200 streamed as several row panels per slot, the last one ragged."""
+    monkeypatch.setattr(SK, "PANEL_BYTES", 64 * 200 * 8)  # 64 / 128 rows
+    return random_write_inputs(rng, (3,), n=200, w=8, dtype=dtype)
+
+
+def _slab(rng, dtype, monkeypatch):
+    """Every slot in one cross-lead slab: whole-array ufuncs."""
+    return random_write_inputs(rng, (5,), dtype=dtype)
+
+
+def _slabs(rng, dtype, monkeypatch):
+    """Two slots per slab, so the last slab is ragged (2 + 2 + 1)."""
+    monkeypatch.setattr(SK, "PANEL_BYTES", 2 * 24 * 24 * 8)
+    return random_write_inputs(rng, (5,), dtype=dtype)
+
+
+def _dncd(rng, dtype, monkeypatch):
+    """DNC-D's stacked operands, lead ``(B, Nt)``: the linkage is the
+    non-contiguous ``block_diagonal`` view, erase/value broadcast over
+    the tile axis."""
+    b, nt, n, w = 3, 4, 8, 6
+    memory, linkage, precedence, write_w, erase, value = random_write_inputs(
+        rng, (b,), n=nt * n, w=w, dtype=dtype
+    )
+    blocks = SK.block_diagonal(linkage, nt)
+    assert not blocks.flags.c_contiguous
+    return (
+        SK.shard_matrix(memory, nt), blocks, SK.shard_vector(precedence, nt),
+        SK.shard_vector(write_w, nt), erase[:, None, :], value[:, None, :],
+    )
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("layout", [_panels, _slab, _slabs, _dncd])
+@pytest.mark.parametrize(
+    "form", ["fresh", "workspace", "partial", "permuted_full", "empty"]
+)
+def test_shared_sweep_bitwise_equals_three_pass(
+    dtype, layout, form, rng, monkeypatch
+):
+    inputs = layout(rng, dtype, monkeypatch)
+    expected = three_pass(*inputs)
+    before = [a.copy() for a in inputs[:3]]
+    if form in ("fresh", "workspace"):
+        ws = FusedWriteWorkspace() if form == "workspace" else None
+        got = fused_erase_write_linkage(*inputs, workspace=ws)
+        for a, b in zip(inputs[:3], before):
+            assert np.array_equal(a, b)  # inputs never mutated
+        active = np.arange(inputs[0].shape[0])
+    else:
+        batch = inputs[0].shape[0]
+        active = {
+            "partial": np.array([2, 0]),
+            "permuted_full": np.arange(batch)[::-1],
+            "empty": np.array([], dtype=int),
+        }[form]
+        fused_erase_write_linkage_inplace(
+            *inputs, active=active, scratch={}
+        )
+        got = inputs[:3]
+    inactive = np.setdiff1d(np.arange(inputs[0].shape[0]), active)
+    for out, want, old in zip(got, expected, before):
+        assert out.dtype == want.dtype
+        assert np.array_equal(out[active], want[active])
+        assert np.array_equal(out[inactive], old[inactive])
 
 
 class TestWorkspace:
@@ -147,6 +238,22 @@ class TestWorkspace:
         assert np.array_equal(out_l, expected[1])
 
 
+def test_tuned_without_ger_is_the_reference_write_phase(rng, monkeypatch):
+    """No scipy (``_GER`` empty) leaves the tuned write phase with
+    nothing of its own: both forms are the reference kernel's output."""
+    monkeypatch.setattr(backend_module, "_GER", {})
+    inputs = random_write_inputs(rng, (3,), n=2 * SK.MIN_BLOCKED_N, w=8)
+    ref = ReferenceBackend().fused_erase_write_linkage(*inputs)
+    tuned = TunedBackend().fused_erase_write_linkage(*inputs)
+    resident = [a.copy() for a in inputs[:3]]
+    TunedBackend().fused_erase_write_linkage_inplace(
+        *resident, *inputs[3:], active=np.arange(3)
+    )
+    for want, got, inplace in zip(ref, tuned, resident):
+        assert np.array_equal(got, want)
+        assert np.array_equal(inplace, want)
+
+
 class TestEngineIntegration:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("distributed", [False, True], ids=["dnc", "dncd"])
@@ -161,7 +268,7 @@ class TestEngineIntegration:
         # the three-pass numpy_ref form.
         legacy_engine = TiledEngine(HiMAConfig(**base), rng=0)
         legacy_engine.backend.fused_erase_write_linkage = (
-            lambda m, l, p, w, e, v, active=None, workspace=None:
+            lambda m, l, p, w, e, v, workspace=None:
             three_pass(m, l, p, w, e, v)
         )
         xs = rng.standard_normal((5, 16)).astype(dtype)

@@ -6,6 +6,8 @@ replaces (dispatch order preserved), and leave every inactive slot
 untouched — for both engine modes and both dtype policies.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,54 @@ def test_masked_traffic_scales_by_active_count(rng):
         rng.standard_normal((5, 16)), arena, active=np.array([0, 2, 4])
     )
     assert engine.traffic.total_words() == 3 * solo_words
+
+
+class _PhasePeaks:
+    """Duck-typed ``engine.profiler``: tracemalloc peak of each phase."""
+
+    def __init__(self):
+        self.peaks = {}
+
+    def now(self):
+        tracemalloc.reset_peak()
+        self.base = tracemalloc.get_traced_memory()[0]
+
+    def lap(self, phase, _t, _nbytes=0):
+        current, peak = tracemalloc.get_traced_memory()
+        self.peaks[phase] = max(self.peaks.get(phase, 0), peak - self.base)
+        tracemalloc.reset_peak()
+        self.base = current
+
+
+@pytest.mark.parametrize("backend", ["reference", "tuned"])
+@pytest.mark.parametrize("live", [13, 16])
+def test_steady_state_dense_tick_allocates_no_slot_matrix(backend, live, rng):
+    """The cliff this guards (ROADMAP's allocator finding: a per-tick
+    temporary >= 128 KiB is a latent one): a ``linkage[idx]`` gather in
+    the masked read, or N^2 scratch / fresh N^2 outputs in the write
+    phase, at the serving shape.  Neither N^2 phase of a steady-state
+    dense masked tick may allocate as much as one ``(N, N)`` slot
+    matrix (measured per phase: the tick's ~20 live per-row fields add
+    up to more than that on their own)."""
+    engine = make_engine(
+        memory_size=256, word_size=8, num_tiles=16, backend=backend
+    )
+    capacity = 16
+    state = engine.initial_state(batch_size=capacity)
+    active = rng.permutation(capacity)[:live]
+    xs = rng.standard_normal((5, capacity, 8))
+    for x in xs[:4]:
+        engine.step(x, state, active=active)
+    engine.profiler = _PhasePeaks()
+    tracemalloc.start()
+    try:
+        engine.step(xs[4], state, active=active)
+    finally:
+        tracemalloc.stop()
+    slot_matrix = state.linkage[0].nbytes
+    assert engine.last_state_bytes_copied < slot_matrix
+    for phase in ("erase_write_linkage", "read", "gather_scatter"):
+        assert engine.profiler.peaks[phase] < slot_matrix, phase
 
 
 class TestValidation:
