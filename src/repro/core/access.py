@@ -93,7 +93,7 @@ class AccessPolicy:
     """
 
     #: Sparse policies route every masked step through the engine's
-    #: dense-capacity path and skip the fused-workspace ping-pong.
+    #: dense-capacity path, whatever the occupancy.
     is_sparse = False
     name = "dense"
 
@@ -111,8 +111,7 @@ class AccessPolicy:
         Under the engine's masked dense step (``engine._fused_active``
         set) the policy must update the resident arrays of the active
         slots in place and return them; otherwise it must leave
-        ``state`` unmutated and return fresh (or workspace-backed)
-        arrays.
+        ``state`` unmutated and return fresh caller-owned arrays.
         """
         raise NotImplementedError
 
@@ -212,19 +211,18 @@ class DenseAccess(AccessPolicy):
             log.add("precedence", hop, hop + 1, b)
         log.add("precedence", nt - 1, ct, b)
         if engine._fused_active is not None:
-            # Partial-occupancy dense masked step: advance only the
+            # Masked dense step (run_batch included): advance only the
             # active slots, in place on the resident arrays — the
             # inactive N^2 rows are neither read nor written.
             engine.backend.fused_erase_write_linkage_inplace(
                 state.memory, state.linkage, state.precedence,
                 write_w, interface.erase, interface.write_vector,
-                active=engine._fused_active, scratch=engine._masked_scratch,
+                active=engine._fused_active,
             )
             return state.memory, state.linkage, state.precedence
         return engine.backend.fused_erase_write_linkage(
             state.memory, state.linkage, state.precedence,
             write_w, interface.erase, interface.write_vector,
-            workspace=engine._active_workspace,
         )
 
     def read_content(self, engine, memory, interface, log, b):

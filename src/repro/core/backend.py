@@ -84,7 +84,7 @@ class KernelBackend:
     """Hot-path kernel set behind the engine's write/content phases.
 
     Subclasses override the kernel methods; the contracts (shapes,
-    ufunc-order bitwise guarantees, ``active``/``workspace``/``scratch``
+    ufunc-order bitwise guarantees, ``active``/``scratch``
     semantics) are those of the :mod:`repro.core.kernels` functions each
     method shadows.  The base class supplies what every CPU backend
     shares: the numpy batched argsort, the dense write sweep, the read
@@ -109,8 +109,9 @@ class KernelBackend:
 
     def __init__(self):
         #: Resident scratch, one dict per backend instance (and backends
-        #: are per-engine): the sparse kernels' two row buffers live
-        #: here, as do the tuned backend's read-phase temporaries.
+        #: are per-engine): the in-place dense sweep's two panel
+        #: temporaries and the sparse kernels' two row buffers live here,
+        #: as do the tuned backend's read-phase temporaries.
         self._scratch: Dict = {}
 
     def _buf(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -164,11 +165,10 @@ class KernelBackend:
         write_w: np.ndarray,
         erase: np.ndarray,
         value: np.ndarray,
-        workspace: Optional[SK.FusedWriteWorkspace] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         return SK.fused_erase_write_linkage(
             memory, linkage, precedence, write_w, erase, value,
-            workspace=workspace, ger=self._ger(linkage),
+            ger=self._ger(linkage),
         )
 
     def fused_erase_write_linkage_inplace(

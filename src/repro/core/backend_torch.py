@@ -172,29 +172,13 @@ class TorchBackend(KernelBackend):
         return new_memory, new_linkage, new_precedence
 
     def fused_erase_write_linkage(
-        self, memory, linkage, precedence, write_w, erase, value,
-        workspace=None,
+        self, memory, linkage, precedence, write_w, erase, value
     ):
         new_m, new_l, new_p = self._fused_torch(
             self._to(memory), self._to(linkage), self._to(precedence),
             self._to(write_w), self._to(erase), self._to(value),
         )
-        results = (self._from(new_m), self._from(new_l), self._from(new_p))
-        if workspace is None:
-            return results
-        out_memory = workspace._get("memory", memory)
-        out_linkage = workspace._get("linkage", linkage)
-        out_precedence = workspace._get("precedence", precedence)
-        if (out_memory is memory or out_linkage is linkage
-                or out_precedence is precedence):
-            raise ValueError(
-                "workspace output buffer aliases its input; a caller "
-                "recycled the arrays of the state it is about to step"
-            )
-        np.copyto(out_memory, results[0])
-        np.copyto(out_linkage, results[1])
-        np.copyto(out_precedence, results[2])
-        return out_memory, out_linkage, out_precedence
+        return self._from(new_m), self._from(new_l), self._from(new_p)
 
     def fused_erase_write_linkage_inplace(
         self, memory, linkage, precedence, write_w, erase, value,

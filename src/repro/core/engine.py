@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import kernels as SK  # stacked shard kernels
-from repro.core.access import make_access_policy
+from repro.core.access import _lead_batch, make_access_policy
 from repro.core.backend import make_backend
 from repro.core.config import HiMAConfig
 from repro.core.mapping import MemoryMap
@@ -161,11 +161,6 @@ class TrafficLog:
         self._compacted_inter_pt = 0
 
 
-def _lead_batch(lead: Tuple[int, ...]) -> int:
-    """Word-count multiplier for a leading batch shape (1 if unbatched)."""
-    return int(lead[0]) if lead else 1
-
-
 class TiledEngine:
     """Sharded, traffic-accounted DNC execution over HiMA's tiles."""
 
@@ -211,25 +206,15 @@ class TiledEngine:
         #: backends hold scratch that must not be shared across the
         #: sharded serving stack's threads (see :mod:`repro.core.backend`).
         self.backend = make_backend(config)
-        # Resident buffers for the fused write kernel, used only where
-        # this engine controls the output arrays' lifecycle (run_batch's
-        # ping-pong, the DNC-D full-occupancy masked step); plain steps
-        # return caller-owned fresh arrays and must never write into
-        # shared buffers.
-        self._fused_workspace = SK.FusedWriteWorkspace()
-        self._active_workspace: Optional[SK.FusedWriteWorkspace] = None
-        # Dense-capacity masked step plumbing: when set, the fused write
-        # phase advances only these slots, in place
-        # (kernels.fused_erase_write_linkage_inplace with the reused
-        # scratch dict), and traffic words scale by the active count
-        # instead of the resident batch size.
+        # The write phase lands in one of two places.  Plain steps
+        # return fresh caller-owned arrays; the masked step (run_batch
+        # included) sets ``_fused_active`` and the fused write phase then
+        # advances only these slots of the resident state, in place
+        # (kernels.fused_erase_write_linkage_inplace; its temporaries
+        # live in the backend's scratch), with traffic words scaled by
+        # the active count instead of the resident batch size.
         self._fused_active: Optional[np.ndarray] = None
-        self._masked_scratch: Dict = {}
         self._traffic_words_scale: Optional[int] = None
-        # DNC-D de-aliasing buffers for workspace-backed masked steps:
-        # staging copies of the view-sharded inputs plus the resident
-        # scatter target for the full linkage (see _step_distributed).
-        self._dncd_scratch: Dict = {}
 
     # ------------------------------------------------------------------
     def initial_state(self, batch_size: Optional[int] = None) -> NumpyDNCState:
@@ -278,7 +263,9 @@ class TiledEngine:
         back — and when ``active`` covers every slot (any order — it is
         then a permutation, and the per-row kernels make batch order
         irrelevant) those are rebound instead, **zero** gather/scatter
-        copies.  Below the threshold (and for DNC-D below full
+        copies.  DNC-D takes that route at full occupancy only, its
+        write phase landing through the stacked shard *views* of the
+        resident arrays.  Below the threshold (and for DNC-D below full
         occupancy) the active rows are gathered/scattered with one
         vectorized fancy index per field
         (:attr:`last_state_bytes_copied` records the cost either way).
@@ -288,6 +275,11 @@ class TiledEngine:
         self.last_state_bytes_copied = 0
         if active is not None:
             return self._step_masked(x, state, active)
+        return self._step_plain(x, state)
+
+    def _step_plain(
+        self, x: np.ndarray, state: NumpyDNCState
+    ) -> Tuple[np.ndarray, NumpyDNCState]:
         if self.config.distributed:
             return self._step_distributed(x, state)
         return self._step_dnc(x, state)
@@ -324,49 +316,27 @@ class TiledEngine:
         out_size = self.reference.config.output_size
         if idx.size == 0:
             return np.zeros((b, out_size), dtype=self.config.np_dtype), state
-        if self.access.is_sparse or (
-            not self.config.distributed
-            and idx.size >= self.config.masked_dense_min_occupancy * b
-        ):
+        dense_from = (
+            1.0 if self.config.distributed
+            else self.config.masked_dense_min_occupancy
+        )
+        if self.access.is_sparse or idx.size >= dense_from * b:
             # Dense-capacity path: the step runs over the whole resident
             # batch with zero gathers and the write phase advances the
             # active slots in place — full occupancy included.  Sparse
             # access takes it at any occupancy: its cheap kernels are
             # O(K)/O(N) per slot (so compact-path gathers of the N^2
-            # fields would dominate the step).  DNC-D is excluded — its
-            # stacked kernels view-shard the state arrays (and sparse +
-            # distributed is rejected at config time).
+            # fields would dominate the step).  DNC-D takes it at full
+            # occupancy only (sparse + distributed is rejected at config
+            # time).
             return self._step_masked_dense(x, state, idx)
-        if idx.size == b:
-            # DNC-D at full occupancy (every other full tick went dense
-            # above): the step runs on the resident arrays directly and
-            # the state object swaps its field references to the outputs
-            # — no copy-back pass.  The fused write lands in the resident
-            # workspace by *stage-and-overwrite*: the stacked-shard
-            # inputs are views of the state arrays, so
-            # _step_distributed first copies them into engine-owned
-            # staging buffers (de-aliasing input from output) and the
-            # stacked outputs live in one stable workspace buffer set.
-            # The compact path below never uses the workspace — its
-            # sub-batch shape varies with the active count, which would
-            # accumulate one retained buffer set per distinct occupancy.
-            self._active_workspace = self._fused_workspace
-            try:
-                y, new_state = self._step_distributed(x, state)
-            finally:
-                self._active_workspace = None
-            state.assign_from(new_state)
-            return y, state
-        step_fn = (
-            self._step_distributed if self.config.distributed else self._step_dnc
-        )
         prof = self.profiler
         if prof is not None:
             tg = prof.now()
         sub = state.take_rows(idx)
         if prof is not None:
             prof.lap("gather_scatter", tg, sub.nbytes)
-        y_sub, new_sub = step_fn(x[idx], sub)
+        y_sub, new_sub = self._step_plain(x[idx], sub)
         if prof is not None:
             tg = prof.now()
         state.write_rows(idx, new_sub)
@@ -399,14 +369,16 @@ class TiledEngine:
         Sparse access (``access_policy="sparse"``) routes *every* masked
         step here: its write phase
         (:func:`repro.core.kernels.sparse_erase_write_linkage_inplace`)
-        is masked-in-place by construction.
+        is masked-in-place by construction.  DNC-D comes here at full
+        occupancy, and :meth:`run_batch` is this step with every slot
+        active.
         """
         b = state.batch_size
         full = idx.size == b
         self._traffic_words_scale = int(idx.size)
         self._fused_active = idx
         try:
-            y, new_state = self._step_dnc(x, state)
+            y, new_state = self._step_plain(x, state)
         finally:
             self._fused_active = None
             self._traffic_words_scale = None
@@ -473,29 +445,15 @@ class TiledEngine:
             (steps, batch, self.reference.config.output_size),
             dtype=self.config.np_dtype,
         )
-        # Intermediate states are engine-private here (the loop drops
-        # each one), so the fused write may ping-pong the resident
-        # workspace instead of allocating fresh O(N^2) outputs every
-        # step.  Values are bitwise-unchanged — only the destination
-        # buffers differ.  Public step() callers keep fresh outputs:
-        # they may retain states arbitrarily (checkpoints, arenas).
-        use_workspace = (
-            not self.config.distributed
-            and self.config.access_policy == "dense"
-        )
-        try:
-            for t in range(steps):
-                if use_workspace:
-                    self._active_workspace = self._fused_workspace
-                old = state
-                outputs[t], state = self.step(inputs[t], state)
-                if use_workspace:
-                    self._active_workspace = None
-                    self._fused_workspace.recycle(
-                        old.memory, old.linkage, old.precedence
-                    )
-        finally:
-            self._active_workspace = None
+        # The state is engine-private here, so it is resident: every
+        # step is the masked in-place step with all slots active and no
+        # O(N^2) output is allocated after the first.  Values are
+        # bitwise those of plain steps — only the destination differs.
+        # Public step() callers keep fresh outputs: they may retain
+        # states arbitrarily (checkpoints, arenas).
+        everyone = np.arange(batch)
+        for t in range(steps):
+            outputs[t], _ = self.step(inputs[t], state, active=everyone)
         return outputs
 
     # ------------------------------------------------------------------
@@ -698,21 +656,14 @@ class TiledEngine:
         einsum/matmul (see :mod:`repro.core.kernels`), under an optional
         leading batch axis.
 
-        **Workspace-backed masked steps** (``self._active_workspace``
-        set by the full-occupancy masked path): the stacked shard
-        operands of the fused write kernel are *views* of the state
-        arrays, and the workspace's stacked output buffers become the
-        next state's storage — so without care step ``t+1`` would read
-        and write the same memory.  The de-aliasing contract: the three
-        fused-kernel inputs are first copied into engine-owned resident
-        staging buffers (``_dncd_stage``), after which the state arrays
-        have no remaining readers and the outputs may land in the one
-        stable workspace buffer set (stage-and-overwrite rather than the
-        non-distributed ping-pong).  The full linkage likewise scatters
-        into a resident zeroed buffer (``_dncd_scatter_out``) instead of
-        a fresh N^2 allocation — DNC-D linkage never has off-block mass,
-        so the off-block zeros written once at buffer creation hold
-        forever.
+        **In place** (``self._fused_active`` set by the full-occupancy
+        masked step): the stacked shard operands of the fused write
+        kernel are *views* of the state arrays, so the in-place kernel
+        run on them advances ``state.memory`` / ``linkage`` /
+        ``precedence`` where they live — nothing is staged, scattered or
+        allocated at N^2, and the returned state carries those three
+        arrays themselves.  Only diagonal blocks are ever read or
+        written; DNC-D linkage has no off-block mass.
         """
         cfg = self.config
         ref = self.reference
@@ -756,22 +707,20 @@ class TiledEngine:
             content_w, alloc,
             gate(interface.write_gate), gate(interface.allocation_gate),
         )
-        local_mem_in, local_link_in, local_prec_in = (
-            local_mem, local_link_prev, local_prec_prev,
+        write_args = (
+            local_mem, local_link_prev, local_prec_prev, local_write_w,
+            interface.erase[..., None, :], interface.write_vector[..., None, :],
         )
-        if self._active_workspace is not None:
-            # De-alias the view-sharded operands (see docstring).
-            local_mem_in = self._dncd_stage("mem_in", local_mem)
-            local_link_in = self._dncd_stage("link_in", local_link_prev)
-            local_prec_in = self._dncd_stage("prec_in", local_prec_prev)
-        local_new_mem, local_link, local_prec = (
-            self.backend.fused_erase_write_linkage(
-                local_mem_in, local_link_in, local_prec_in, local_write_w,
-                interface.erase[..., None, :],
-                interface.write_vector[..., None, :],
-                workspace=self._active_workspace,
+        in_place = self._fused_active is not None
+        if in_place:
+            self.backend.fused_erase_write_linkage_inplace(
+                *write_args, active=self._fused_active
             )
-        )
+            local_new_mem, local_link, local_prec = write_args[:3]
+        else:
+            local_new_mem, local_link, local_prec = (
+                self.backend.fused_erase_write_linkage(*write_args)
+            )
 
         local_rscores = self.backend.stacked_read_scores(
             local_new_mem, interface.read_keys
@@ -795,47 +744,25 @@ class TiledEngine:
             log.add("read_vector_collect", t, ct, b * r * w)
 
         y = self._output(lstm_h, read_vecs)
-        if self._active_workspace is not None:
-            # Resident scatter target: the state's linkage storage under
-            # workspace-backed masked stepping, overwritten in place
-            # (its previous blocks were staged above).
-            linkage_full = SK.scatter_block_diagonal(
-                local_link, out=self._dncd_scatter_out(state.linkage)
+        if in_place:
+            memory, linkage, precedence = (
+                state.memory, state.linkage, state.precedence
             )
         else:
-            linkage_full = SK.scatter_block_diagonal(local_link)
+            memory = SK.unshard_matrix(local_new_mem)
+            linkage = SK.scatter_block_diagonal(local_link)
+            precedence = SK.unshard_vector(local_prec)
         new_state = NumpyDNCState(
-            memory=SK.unshard_matrix(local_new_mem),
+            memory=memory,
             usage=SK.unshard_vector(local_usage),
-            precedence=SK.unshard_vector(local_prec),
-            linkage=linkage_full,
+            precedence=precedence,
+            linkage=linkage,
             write_w=SK.unshard_vector(local_write_w),
             read_w=SK.unshard_heads(local_read_w),
             read_vecs=read_vecs,
             lstm_h=lstm_h, lstm_c=lstm_c,
         )
         return y, new_state
-
-    def _dncd_stage(self, name: str, view: np.ndarray) -> np.ndarray:
-        """Copy a view-sharded operand into an engine-owned resident buffer."""
-        key = (name, view.shape, view.dtype.str)
-        buf = self._dncd_scratch.get(key)
-        if buf is None:
-            buf = np.empty(view.shape, dtype=view.dtype)
-            self._dncd_scratch[key] = buf
-        np.copyto(buf, view)
-        return buf
-
-    def _dncd_scatter_out(self, like: np.ndarray) -> np.ndarray:
-        """Resident zeroed buffer for the full block-diagonal linkage."""
-        key = ("scatter_out", like.shape, like.dtype.str)
-        buf = self._dncd_scratch.get(key)
-        if buf is None:
-            # Zeroed once: only diagonal blocks are ever written, and
-            # DNC-D linkage has no off-block mass, so the invariant holds.
-            buf = np.zeros(like.shape, dtype=like.dtype)
-            self._dncd_scratch[key] = buf
-        return buf
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -872,11 +799,9 @@ class TiledEngine:
             return approx.softmax(scores, axis=axis)
         return K.exact_softmax(scores, axis=axis)
 
-    #: Per-dtype divergence tolerance for :meth:`verify_against_reference`.
-    #: float64 keeps the historical 1e-9 bound; float32 accumulates
-    #: rounding through the recurrent state, so the bound is loosened to
-    #: what a few steps of ~1e-7 relative error can produce.
-    #: Per-dtype bars for :meth:`verify_against_reference`.  The
+    #: Per-dtype bars for :meth:`verify_against_reference`: float64
+    #: keeps the historical 1e-9; float32 accumulates ~1e-7 relative
+    #: rounding through the recurrent state over a few steps.  The
     #: reduced-precision entries cover the torch backend computing the
     #: hot path in true half precision against the float32-storage
     #: reference model: ``bfloat16`` keeps 8 mantissa bits (~4e-3

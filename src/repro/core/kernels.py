@@ -128,31 +128,15 @@ def block_diagonal(linkage: np.ndarray, num_tiles: int) -> np.ndarray:
     return np.einsum("...titj->...tij", grid)
 
 
-def scatter_block_diagonal(
-    blocks: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def scatter_block_diagonal(blocks: np.ndarray) -> np.ndarray:
     """Place ``(..., Nt, n, n)`` blocks on the diagonal of a zero ``(..., N, N)``.
 
     The output keeps the blocks' dtype, so the engine-wide dtype policy
     flows through the stacked DNC-D path without silent upcasts.
-
-    ``out`` — write the blocks into a caller-owned resident buffer
-    instead of allocating a fresh ``(..., N, N)`` zero array every step.
-    The caller must guarantee the buffer's off-diagonal-block cells are
-    already zero (DNC-D linkage never has off-block mass, so a buffer
-    that only ever receives linkage through this function keeps that
-    invariant after a single zeroed initialization).
     """
     num_tiles, n_local = blocks.shape[-3], blocks.shape[-1]
     n = num_tiles * n_local
-    if out is None:
-        out = np.zeros(blocks.shape[:-3] + (n, n), dtype=blocks.dtype)
-    elif out.shape != blocks.shape[:-3] + (n, n) or out.dtype != blocks.dtype:
-        raise ValueError(
-            f"scatter_block_diagonal out= has shape {out.shape} dtype "
-            f"{out.dtype}; expected {blocks.shape[:-3] + (n, n)} "
-            f"{blocks.dtype}"
-        )
+    out = np.zeros(blocks.shape[:-3] + (n, n), dtype=blocks.dtype)
     for t in range(num_tiles):
         rows = slice(t * n_local, (t + 1) * n_local)
         out[..., rows, rows] = blocks[..., t, :, :]
@@ -192,57 +176,6 @@ MIN_BLOCKED_N = 128
 def panel_rows(n: int, row_bytes: int) -> int:
     """Rows of an ``n``-row matrix per streamed panel of ~:data:`PANEL_BYTES`."""
     return max(1, min(n, PANEL_BYTES // row_bytes))
-
-
-class FusedWriteWorkspace:
-    """Resident output + scratch buffers for :func:`fused_erase_write_linkage`.
-
-    Allocating the linkage-sized output fresh every step costs more in
-    page faults than the arithmetic itself once ``N`` is a few hundred.
-    A workspace keeps one set of output buffers per (shape, dtype), plus
-    the sweep's panel temporaries, and the kernel writes into them
-    instead, so a long-running caller — :meth:`TiledEngine.run_batch`,
-    the DNC-D full-occupancy masked step — touches warm pages every
-    step.
-
-    Ownership contract: the arrays returned by a ``workspace=`` call are
-    owned by the workspace until the caller either copies them out or
-    hands replacement buffers back via :meth:`recycle` (``run_batch``
-    does the latter, ping-ponging the previous state's arrays in as the
-    next step's outputs).  Calling the kernel again for the same shapes
-    without doing one of those overwrites the previous results.
-    """
-
-    #: Output roles, in the order the kernel returns them (and the order
-    #: :meth:`recycle` expects donated arrays in).
-    ROLES = ("memory", "linkage", "precedence")
-
-    def __init__(self):
-        self._buffers = {}
-        #: The sweep's panel temporaries (see :func:`_scratch_rows`).
-        self.scratch: Dict = {}
-
-    @staticmethod
-    def _key(role: str, array: np.ndarray) -> Tuple:
-        # Role is part of the key: memory (N, W) and linkage (N, N)
-        # coincide in shape whenever N == W, and they must never share a
-        # buffer.
-        return (role, array.shape, array.dtype.str)
-
-    def _get(self, role: str, like: np.ndarray) -> np.ndarray:
-        key = self._key(role, like)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(like.shape, dtype=like.dtype)
-            self._buffers[key] = buf
-        return buf
-
-    def recycle(
-        self, memory: np.ndarray, linkage: np.ndarray, precedence: np.ndarray
-    ) -> None:
-        """Donate arrays (e.g. a previous state's buffers) as future outputs."""
-        for role, array in zip(self.ROLES, (memory, linkage, precedence)):
-            self._buffers[self._key(role, array)] = array
 
 
 def _scratch_rows(
@@ -368,7 +301,6 @@ def fused_erase_write_linkage(
     write_w: np.ndarray,
     erase: np.ndarray,
     value: np.ndarray,
-    workspace: Optional[FusedWriteWorkspace] = None,
     ger: Optional[Callable] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One fused sweep for the DNC write phase: erase+write, linkage, precedence.
@@ -387,17 +319,13 @@ def fused_erase_write_linkage(
       :func:`repro.dnc.numpy_ref.precedence_update` (see
       :func:`_write_sweep`: the per-cell ufunc order is replicated
       exactly, so no tolerance is needed);
-    * inputs are never mutated.
+    * inputs are never mutated; the outputs are freshly allocated
+      arrays the caller owns outright (a resident state is advanced by
+      :func:`fused_erase_write_linkage_inplace` instead).
 
     The fusion wins by streaming the ``N^2`` linkage once, in
     cache-sized row panels, instead of materializing full-size
     intermediates per reference kernel (~4 sweeps).
-
-    ``workspace`` — write outputs into a :class:`FusedWriteWorkspace`'s
-    resident buffers instead of fresh allocations (still bitwise: every
-    output element is overwritten, so buffer history never leaks).  See
-    the workspace's ownership contract; without it the kernel returns
-    freshly allocated arrays the caller owns outright.
 
     ``ger`` — an optional BLAS ``?ger`` matching the linkage dtype: the
     ``w_i * p_j`` accumulate of contiguous panels then rounds once
@@ -405,29 +333,17 @@ def fused_erase_write_linkage(
     stay bitwise).
     """
     src = (memory, linkage, precedence)
-    if workspace is None:
-        dst = tuple(np.empty(a.shape, dtype=a.dtype) for a in src)
-        scratch: Dict = {}
-    else:
-        dst = tuple(
-            workspace._get(role, a) for role, a in zip(workspace.ROLES, src)
-        )
-        if any(out is a for out, a in zip(dst, src)):
-            raise ValueError(
-                "workspace output buffer aliases its input; a caller "
-                "recycled the arrays of the state it is about to step"
-            )
-        scratch = workspace.scratch
+    dst = tuple(np.empty(a.shape, dtype=a.dtype) for a in src)
     lead = write_w.shape[:-1]
     erase, value = _over_lead(erase, lead), _over_lead(value, lead)
     if not lead:
         # Unbatched: lend the sweep its lead axis (views, no copies).
         _write_sweep(
             tuple(a[None] for a in src), tuple(a[None] for a in dst),
-            write_w[None], erase[None], value[None], scratch, ger,
+            write_w[None], erase[None], value[None], {}, ger,
         )
     else:
-        _write_sweep(src, dst, write_w, erase, value, scratch, ger)
+        _write_sweep(src, dst, write_w, erase, value, {}, ger)
     return dst
 
 
@@ -453,7 +369,9 @@ def fused_erase_write_linkage_inplace(
     other row is left bitwise untouched.  Each active row's values are
     bitwise identical to :func:`fused_erase_write_linkage` on that row
     (the same :func:`_write_sweep` runs per slot, source and destination
-    coinciding).
+    coinciding).  The arrays may be non-contiguous *views* of a resident
+    state — DNC-D passes its stacked ``(B, Nt, n, ...)`` shard views and
+    the write lands in the state's own storage.
 
     The per-slot loop is deliberate: a vectorized fancy-index pass would
     have to gather the active ``N^2`` rows first, which is exactly the
@@ -1012,7 +930,6 @@ __all__ = [
     "scatter_block_diagonal",
     "stacked_key_scores",
     "stacked_read_scores",
-    "FusedWriteWorkspace",
     "fused_erase_write_linkage",
     "fused_erase_write_linkage_inplace",
     "sparse_erase_write_linkage",

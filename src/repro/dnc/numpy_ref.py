@@ -469,17 +469,6 @@ class NumpyDNCState:
         for name in self.FIELDS:
             getattr(self, name)[idx] = getattr(other, name)
 
-    def assign_from(self, other: "NumpyDNCState") -> None:
-        """Rebind every field reference to ``other``'s arrays (zero copy).
-
-        Used by the dense masked-step fast path: the state *object* stays
-        the stable handle sessions are pinned to (the arena), while the
-        arrays swap to the freshly computed step outputs without any
-        copy-back pass.
-        """
-        for name in self.FIELDS:
-            setattr(self, name, getattr(other, name))
-
     # ------------------------------------------------------------------
     @classmethod
     def stack(cls, states: Sequence["NumpyDNCState"]) -> "NumpyDNCState":

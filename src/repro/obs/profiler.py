@@ -31,7 +31,7 @@ from typing import Dict, Mapping, Optional
 
 #: The named phases the engine step attributes time to, in execution
 #: order.  ``gather_scatter`` covers masked-step state staging (compact
-#: gather/scatter and workspace scatter); the rest are the DNC phase
+#: gather/scatter, dense-path row scatter); the rest are the DNC phase
 #: sequence of ``TiledEngine._step_dnc``.
 PHASES = (
     "controller",

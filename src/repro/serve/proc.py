@@ -1042,10 +1042,10 @@ class ProcCluster:
         """One checkpoint round; returns sessions checkpointed.
 
         Ships every session whose supervisor replay log holds at least
-        ``min_log`` steps — and at least one (0, the default for
-        explicit calls, means every session with anything to replay).  Workers whose sessions
-        are all below the bar are skipped entirely — at steady state a
-        periodic round with nothing worth shipping costs no RPC.
+        ``min_log`` steps — and at least one (0, the default for explicit
+        calls, means every session with anything to replay).  Workers
+        whose sessions are all below the bar are skipped entirely — at
+        steady state a periodic round with nothing to ship costs no RPC.
         """
         count = 0
         wanted: List[List[str]] = [[] for _ in self.workers]

@@ -1,4 +1,4 @@
-"""Fused erase/write/linkage kernel: bitwise contract, mask, workspace.
+"""Fused erase/write/linkage kernel: bitwise contract, mask, both forms.
 
 The fused kernel's whole value proposition rests on being *bitwise*
 identical to the three-pass reference sequence — not merely within
@@ -14,7 +14,6 @@ from repro.core.backend import ReferenceBackend, TunedBackend
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
 from repro.core.kernels import (
-    FusedWriteWorkspace,
     fused_erase_write_linkage,
     fused_erase_write_linkage_inplace,
 )
@@ -148,7 +147,7 @@ def _dncd(rng, dtype, monkeypatch):
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("layout", [_panels, _slab, _slabs, _dncd])
 @pytest.mark.parametrize(
-    "form", ["fresh", "workspace", "partial", "permuted_full", "empty"]
+    "form", ["fresh", "ordered_full", "partial", "permuted_full", "empty"]
 )
 def test_shared_sweep_bitwise_equals_three_pass(
     dtype, layout, form, rng, monkeypatch
@@ -156,15 +155,15 @@ def test_shared_sweep_bitwise_equals_three_pass(
     inputs = layout(rng, dtype, monkeypatch)
     expected = three_pass(*inputs)
     before = [a.copy() for a in inputs[:3]]
-    if form in ("fresh", "workspace"):
-        ws = FusedWriteWorkspace() if form == "workspace" else None
-        got = fused_erase_write_linkage(*inputs, workspace=ws)
+    batch = inputs[0].shape[0]
+    if form == "fresh":
+        got = fused_erase_write_linkage(*inputs)
         for a, b in zip(inputs[:3], before):
             assert np.array_equal(a, b)  # inputs never mutated
-        active = np.arange(inputs[0].shape[0])
+        active = np.arange(batch)
     else:
-        batch = inputs[0].shape[0]
         active = {
+            "ordered_full": np.arange(batch),  # the form run_batch runs
             "partial": np.array([2, 0]),
             "permuted_full": np.arange(batch)[::-1],
             "empty": np.array([], dtype=int),
@@ -173,69 +172,11 @@ def test_shared_sweep_bitwise_equals_three_pass(
             *inputs, active=active, scratch={}
         )
         got = inputs[:3]
-    inactive = np.setdiff1d(np.arange(inputs[0].shape[0]), active)
+    inactive = np.setdiff1d(np.arange(batch), active)
     for out, want, old in zip(got, expected, before):
         assert out.dtype == want.dtype
         assert np.array_equal(out[active], want[active])
         assert np.array_equal(out[inactive], old[inactive])
-
-
-class TestWorkspace:
-    def test_workspace_results_bitwise(self, rng):
-        inputs = random_write_inputs(rng, (3,))
-        plain = fused_erase_write_linkage(*inputs)
-        ws = FusedWriteWorkspace()
-        via_ws = fused_erase_write_linkage(*inputs, workspace=ws)
-        for a, b in zip(plain, via_ws):
-            assert np.array_equal(a, b)
-
-    def test_workspace_buffers_are_reused(self, rng):
-        ws = FusedWriteWorkspace()
-        inputs = random_write_inputs(rng, (3,))
-        first = fused_erase_write_linkage(*inputs, workspace=ws)
-        second = fused_erase_write_linkage(*inputs, workspace=ws)
-        for a, b in zip(first, second):
-            assert a is b  # same resident buffer, overwritten in place
-
-    def test_recycled_arrays_become_outputs(self, rng):
-        ws = FusedWriteWorkspace()
-        inputs = random_write_inputs(rng, (2,))
-        donated = [np.empty_like(a) for a in inputs[:3]]
-        ws.recycle(*donated)
-        outs = fused_erase_write_linkage(*inputs, workspace=ws)
-        for out, buf in zip(outs, donated):
-            assert out is buf
-
-    def test_aliasing_input_as_output_raises(self, rng):
-        ws = FusedWriteWorkspace()
-        memory, linkage, precedence, write_w, erase, value = (
-            random_write_inputs(rng, (2,))
-        )
-        ws.recycle(memory, linkage, precedence)
-        with pytest.raises(ValueError):
-            fused_erase_write_linkage(
-                memory, linkage, precedence, write_w, erase, value,
-                workspace=ws,
-            )
-
-    def test_same_shape_memory_and_linkage_do_not_collide(self, rng):
-        # N == W makes memory and linkage the same shape; the workspace
-        # must still hand out distinct buffers per role.
-        n = 6
-        memory = rng.standard_normal((2, n, n))
-        linkage = rng.standard_normal((2, n, n))
-        precedence = rng.random((2, n))
-        write_w = rng.random((2, n))
-        erase = rng.random((2, n))
-        value = rng.standard_normal((2, n))
-        ws = FusedWriteWorkspace()
-        out_m, out_l, _ = fused_erase_write_linkage(
-            memory, linkage, precedence, write_w, erase, value, workspace=ws
-        )
-        assert out_m is not out_l
-        expected = three_pass(memory, linkage, precedence, write_w, erase, value)
-        assert np.array_equal(out_m, expected[0])
-        assert np.array_equal(out_l, expected[1])
 
 
 def test_tuned_without_ger_is_the_reference_write_phase(rng, monkeypatch):
@@ -264,12 +205,22 @@ class TestEngineIntegration:
             distributed=distributed, dtype=dtype,
         )
         fused_engine = TiledEngine(HiMAConfig(**base), rng=0)
-        # The oracle: the same engine with its write kernel swapped for
-        # the three-pass numpy_ref form.
+        # The oracle: the same engine with both forms of its write
+        # kernel swapped for the three-pass numpy_ref sequence — fresh
+        # outputs for ``run``, the active rows copied back for the
+        # resident state ``run_batch`` steps in place.
         legacy_engine = TiledEngine(HiMAConfig(**base), rng=0)
-        legacy_engine.backend.fused_erase_write_linkage = (
-            lambda m, l, p, w, e, v, workspace=None:
-            three_pass(m, l, p, w, e, v)
+        legacy_engine.backend.fused_erase_write_linkage = three_pass
+
+        def three_pass_inplace(m, l, p, w, e, v, active, scratch=None):
+            lead = w.shape[:-1]
+            e, v = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (e, v))
+            new = three_pass(*(a[active] for a in (m, l, p, w, e, v)))
+            for resident, rows in zip((m, l, p), new):
+                resident[active] = rows
+
+        legacy_engine.backend.fused_erase_write_linkage_inplace = (
+            three_pass_inplace
         )
         xs = rng.standard_normal((5, 16)).astype(dtype)
         assert np.array_equal(fused_engine.run(xs), legacy_engine.run(xs))

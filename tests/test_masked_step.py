@@ -207,8 +207,9 @@ class TestDensePartialOccupancyPath:
         assert above.last_state_bytes_copied < 2 * k * arena.row_nbytes
 
     def test_distributed_engine_keeps_compact_path(self, rng):
-        """DNC-D's stacked kernels view-shard the state arrays, so the
-        dense in-place write phase never applies to it."""
+        """Below full occupancy DNC-D gathers and scatters: its stacked
+        kernels have no per-slot masked read, so only the all-active
+        tick steps the resident arrays in place."""
         engine = make_engine(distributed=True, masked_dense_min_occupancy=0.0)
         b = 4
         arena = warmed_state(engine, rng, b)
@@ -329,6 +330,83 @@ def test_steady_state_dense_tick_allocates_no_slot_matrix(backend, live, rng):
     assert engine.last_state_bytes_copied < slot_matrix
     for phase in ("erase_write_linkage", "read", "gather_scatter"):
         assert engine.profiler.peaks[phase] < slot_matrix, phase
+
+
+RESIDENT_ENGINES = {
+    "reference": dict(backend="reference"),
+    "tuned": dict(backend="tuned"),
+    "dncd": dict(distributed=True),
+}
+
+
+@pytest.mark.parametrize("kind", list(RESIDENT_ENGINES))
+def test_run_batch_steps_one_resident_state(kind, rng):
+    """The write phase lands in fresh caller-owned arrays or in the
+    resident state, never in a third place: ``run_batch`` keeps nothing
+    the size of a slot matrix once it returns (a second buffer set,
+    staged operands, a scatter target), and a steady-state run peaks
+    below one ``(N, N)`` slot matrix above its one resident state (fresh
+    N^2 outputs per step are ``B`` of them)."""
+    config = HiMAConfig(
+        memory_size=256, word_size=8, num_reads=2, num_tiles=16,
+        hidden_size=32, two_stage_sort=False, **RESIDENT_ENGINES[kind]
+    )
+    # A bounded traffic log: retained events are not what is measured.
+    engine = TiledEngine(config, rng=0, traffic_max_events=2)
+    batch = 8
+    xs = rng.standard_normal((4, batch, 8))
+    resident = engine.initial_state(batch_size=batch)
+    tracemalloc.start()
+    try:
+        engine.run_batch(xs[:2])  # cold: the backend's scratch grows here
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        engine.run_batch(xs)
+        peak = tracemalloc.get_traced_memory()[1] - retained
+    finally:
+        tracemalloc.stop()
+    slot_matrix = resident.linkage[0].nbytes
+    assert retained < slot_matrix
+    assert peak - resident.nbytes < slot_matrix
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_dncd_full_tick_lands_in_the_resident_arrays(dtype, rng):
+    """DNC-D at full occupancy writes through the stacked shard views of
+    the state: the same three N^2-phase arrays throughout, nothing
+    copied, no off-block linkage mass, every field bitwise the
+    out-of-place batched step's and each slot its solo trajectory."""
+    engine = make_engine(distributed=True, dtype=dtype)
+    batch, nt = 3, engine.config.num_tiles
+    state = engine.initial_state(batch_size=batch)
+    plain = engine.initial_state(batch_size=batch)
+    solo = [engine.initial_state() for _ in range(batch)]
+    big3 = [id(a) for a in (state.memory, state.linkage, state.precedence)]
+    n_local = engine.config.memory_size // nt
+    off_block = ~np.kron(
+        np.eye(nt, dtype=bool), np.ones((n_local, n_local), dtype=bool)
+    )
+    tol = 1e-10 if dtype == "float64" else TiledEngine.VERIFY_TOLERANCES[dtype]
+    for t in range(16):
+        x = rng.standard_normal((batch, 16)).astype(dtype)
+        active = rng.permutation(batch) if t % 2 else np.arange(batch)
+        y, out = engine.step(x, state, active=active)
+        assert out is state
+        assert engine.last_state_bytes_copied == 0
+        assert big3 == [
+            id(a) for a in (state.memory, state.linkage, state.precedence)
+        ]
+        assert not state.linkage[:, off_block].any()
+        y_plain, plain = engine.step(x, plain)
+        assert np.array_equal(y, y_plain), t
+        for i in range(batch):
+            y_solo, solo[i] = engine.step(x[i], solo[i])
+            assert np.max(np.abs(y[i] - y_solo)) <= tol, (t, i)
+    assert fields_equal(state, plain)
+    stacked = NumpyDNCState.stack(solo)
+    for name in NumpyDNCState.FIELDS:
+        delta = np.abs(getattr(state, name) - getattr(stacked, name))
+        assert np.max(delta) <= tol, name
 
 
 class TestValidation:

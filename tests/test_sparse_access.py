@@ -467,17 +467,20 @@ class TestSparseServing:
 
 
 # ---------------------------------------------------------------------------
-# DNC-D de-aliased workspace (stacked-tile stage-and-overwrite)
+# DNC-D full-occupancy tick: in place on the stacked shard views
 # ---------------------------------------------------------------------------
 
 
 class TestDistributedWorkspaceDealias:
+    """(Named for the staging workspace this path used to need: the
+    write kernel now reads and writes the same views of the state.)"""
+
     def make(self):
         return TiledEngine(dense_config(distributed=True), rng=SEED)
 
     def test_masked_full_occupancy_matches_plain_batched_bitwise(self, rng):
-        """The workspace-backed DNC-D masked path (staged shard inputs,
-        scatter into a resident buffer) is bitwise the plain step."""
+        """The DNC-D masked path (write kernel in place on views of the
+        state's own arrays) is bitwise the plain step."""
         masked, plain = self.make(), self.make()
         batch = 4
         xs = rng.standard_normal(
@@ -486,16 +489,19 @@ class TestDistributedWorkspaceDealias:
         idx = np.arange(batch)
         ms = masked.initial_state(batch_size=batch)
         ps = plain.initial_state(batch_size=batch)
+        linkage = ms.linkage
         for t in range(xs.shape[0]):
             ym, ms = masked.step(xs[t], ms, active=idx)
             yp, ps = plain.step(xs[t], ps)
             assert np.array_equal(ym, yp), t
         for name in NumpyDNCState.FIELDS:
             assert np.array_equal(getattr(ms, name), getattr(ps, name)), name
+        assert ms.linkage is linkage  # resident, never re-materialised
 
     def test_repeated_masked_steps_do_not_alias_workspace(self, rng):
-        """Back-to-back masked DNC-D steps reuse the staging buffers;
-        outputs must depend only on inputs, never on buffer history."""
+        """Back-to-back masked DNC-D steps read and overwrite the same
+        views (and reuse the backend's scratch); outputs must depend
+        only on inputs, never on buffer history."""
         engine = self.make()
         batch = 2
         xs = rng.standard_normal(
