@@ -12,9 +12,8 @@ retention/usage arithmetic, or any of the serving stack above it.
 Two policies:
 
 * :class:`DenseAccess` — the paper's path, verbatim.  The method bodies
-  are the exact kernel calls (and the exact traffic-log sequences) the
-  engine ran before this layer existed, so dense trajectories are
-  bitwise-identical to the pre-refactor engine.
+  are the exact kernel calls the engine ran before this layer existed,
+  so dense trajectories are bitwise-identical to the pre-refactor engine.
 * :class:`SparseAccess` — Rae et al.-style sparse access memory: top-K
   content addressing, top-K allocation (the ``skim_fraction``
   argpartition idiom generalized), a K-row sparse write/linkage kernel
@@ -32,29 +31,22 @@ Two policies:
   stable tie-break, and the sparse write kernel's column+row passes
   reduce to the fused kernel's dense formula.
 
-Traffic accounting: the sparse policy logs the same message *pattern*
-(endpoints, event order) as the dense path, but the word counts of the
-N-scaling events (linkage segment distribution, usage sort,
-forward/backward operands and psums) scale with K rather than N —
-that is the dataflow a sparse-access HiMA tile array would move.
+Traffic accounting is not a policy concern: the step's messages are
+fixed by the config, so :meth:`repro.core.mapping.MemoryMap.step_traffic`
+builds them once.  Under sparse access the message *pattern* (endpoints,
+event order) is the dense one, but the word counts of the N-scaling
+messages (linkage segment distribution, usage sort, forward/backward
+operands and psums) scale with K rather than N — that is the dataflow a
+sparse-access HiMA tile array would move.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
 from repro.core import kernels as SK
 from repro.core.config import HiMAConfig
 from repro.dnc import numpy_ref as K
-
-
-def _lead_batch(lead: Tuple[int, ...]) -> int:
-    b = 1
-    for d in lead:
-        b *= int(d)
-    return b
 
 
 def _topk_largest(values: np.ndarray, k: int) -> np.ndarray:
@@ -84,12 +76,8 @@ def _topk_smallest(values: np.ndarray, k: int) -> np.ndarray:
 class AccessPolicy:
     """Strategy interface for the five N-scaling phases of a DNC step.
 
-    Every method receives the calling engine (for config, memory map,
-    softmax policy, and the masked-step plumbing) plus the traffic log
-    and the word multiplier ``b`` (the active-slot count under a masked
-    dense step, else the lead batch).  Implementations own both the
-    arithmetic *and* the traffic events of their phase, so word
-    accounting scales with whatever the policy actually moves.
+    Every method receives the calling engine (for config, backend,
+    softmax policy, and the masked-step plumbing).
     """
 
     #: Sparse policies route every masked step through the engine's
@@ -97,15 +85,15 @@ class AccessPolicy:
     is_sparse = False
     name = "dense"
 
-    def write_content(self, engine, state, interface, log, b):
+    def write_content(self, engine, state, interface):
         """Content-based write weighting ``(..., N)`` from the write key."""
         raise NotImplementedError
 
-    def allocation(self, engine, usage, log, b):
+    def allocation(self, engine, usage):
         """Allocation weighting ``(..., N)`` from the updated usage."""
         raise NotImplementedError
 
-    def write_phase(self, engine, state, write_w, interface, log, b):
+    def write_phase(self, engine, state, write_w, interface):
         """Erase+write, linkage, precedence → ``(memory, linkage, precedence)``.
 
         Under the engine's masked dense step (``engine._fused_active``
@@ -115,11 +103,11 @@ class AccessPolicy:
         """
         raise NotImplementedError
 
-    def read_content(self, engine, memory, interface, log, b):
+    def read_content(self, engine, memory, interface):
         """Content-based read weighting ``(..., R, N)`` on the new memory."""
         raise NotImplementedError
 
-    def forward_backward(self, engine, linkage, prev_read_w, log):
+    def forward_backward(self, engine, linkage, prev_read_w):
         """Temporal forward/backward weightings ``(..., R, N)`` pair."""
         raise NotImplementedError
 
@@ -127,8 +115,8 @@ class AccessPolicy:
         """Merge content/forward/backward into the read weighting."""
         raise NotImplementedError
 
-    def read_vectors(self, engine, memory, read_w, log, b):
-        """Weighted read ``(..., R, W)`` plus the psum-reduction traffic."""
+    def read_vectors(self, engine, memory, read_w):
+        """Weighted read ``(..., R, W)``."""
         raise NotImplementedError
 
     # -- profiling ----------------------------------------------------
@@ -168,8 +156,8 @@ class AccessPolicy:
 class DenseAccess(AccessPolicy):
     """The paper's dense addressing path, verbatim.
 
-    Each method body is the exact code (kernel calls, ufunc order, and
-    traffic-log sequence) that lived inline in
+    Each method body is the exact code (kernel calls and ufunc order)
+    that lived inline in
     ``TiledEngine._step_dnc`` before the policy layer: dense
     trajectories are bitwise-identical to the pre-refactor engine at
     equal dispatch order.
@@ -178,38 +166,16 @@ class DenseAccess(AccessPolicy):
     is_sparse = False
     name = "dense"
 
-    def write_content(self, engine, state, interface, log, b):
-        nt = engine.config.num_tiles
-        ct = engine.memory_map.ct_node
-        # Row-wise shards: normalization fully local; scores need one
-        # global softmax -> tiles exchange (max, sum) psums with the CT.
+    def write_content(self, engine, state, interface):
         scores = engine.backend.write_scores(state.memory, interface.write_key)
-        for t in range(nt):
-            log.add("similarity", t, ct, 2 * b)  # local max + local exp-sum
-        content_w = engine._softmax(interface.write_strength * scores)
-        for t in range(nt):
-            log.add("similarity", ct, t, 2 * b)  # global max + normalizer back
-        return content_w
+        return engine._softmax(interface.write_strength * scores)
 
-    def allocation(self, engine, usage, log, b):
-        order = engine._usage_sort(usage, log)
-        alloc = K.allocation_from_order(usage, order)
-        # Running product hand-off between tiles in sorted order.
-        for hop in range(engine.config.num_tiles - 1):
-            log.add("allocation", hop, hop + 1, b)
-        return alloc
+    def allocation(self, engine, usage):
+        return K.allocation_from_order(usage, engine._usage_sort(usage))
 
-    def write_phase(self, engine, state, write_w, interface, log, b):
-        nt = engine.config.num_tiles
-        ct = engine.memory_map.ct_node
-        # Traffic follows the blockwise dataflow; the arithmetic runs
-        # through the backend's fused single-sweep kernel (bitwise the
-        # three-pass ``repro.dnc.numpy_ref`` oracle on ``reference``).
-        engine._log_linkage_traffic(b)
-        # Global sum of w_w: psum ring ending at the CT.
-        for hop in range(nt - 1):
-            log.add("precedence", hop, hop + 1, b)
-        log.add("precedence", nt - 1, ct, b)
+    def write_phase(self, engine, state, write_w, interface):
+        # The backend's fused single-sweep kernel: bitwise the
+        # three-pass ``repro.dnc.numpy_ref`` oracle on ``reference``.
         if engine._fused_active is not None:
             # Masked dense step (run_batch included): advance only the
             # active slots, in place on the resident arrays — the
@@ -225,37 +191,28 @@ class DenseAccess(AccessPolicy):
             write_w, interface.erase, interface.write_vector,
         )
 
-    def read_content(self, engine, memory, interface, log, b):
-        nt = engine.config.num_tiles
-        ct = engine.memory_map.ct_node
-        r = engine.config.num_reads
+    def read_content(self, engine, memory, interface):
         rscores = engine.backend.read_scores(memory, interface.read_keys)
-        for t in range(nt):
-            log.add("similarity", t, ct, 2 * b * r)
-        content_r = engine._softmax(
+        return engine._softmax(
             interface.read_strengths[..., None] * rscores, axis=-1
         )
-        for t in range(nt):
-            log.add("similarity", ct, t, 2 * b * r)
-        return content_r
 
-    def forward_backward(self, engine, linkage, prev_read_w, log):
-        return engine._forward_backward(linkage, prev_read_w, log)
+    def forward_backward(self, engine, linkage, prev_read_w):
+        # Reference: one stacked matmul pair; tuned: a fused single-pass
+        # panel sweep (the profiler's bytes column follows the backend).
+        return engine.backend.forward_backward(
+            linkage, prev_read_w, active=engine._fused_active
+        )
 
     def read_weights(self, engine, content_r, fwd, bwd, read_modes):
         return engine.backend.read_weight_mix(content_r, fwd, bwd, read_modes)
 
-    def read_vectors(self, engine, memory, read_w, log, b):
-        cfg = engine.config
-        ct = engine.memory_map.ct_node
+    def read_vectors(self, engine, memory, read_w):
         # Under the masked dense step the inactive slots' reads are
         # discarded by the scatter, so the backend may skip them.
-        read_vecs = engine.backend.read_vectors(
+        return engine.backend.read_vectors(
             memory, read_w, active=engine._fused_active
         )
-        for t in range(cfg.num_tiles):
-            log.add("memory_read", t, ct, b * cfg.num_reads * cfg.word_size)
-        return read_vecs
 
 
 class SparseAccess(AccessPolicy):
@@ -309,30 +266,17 @@ class SparseAccess(AccessPolicy):
         np.put_along_axis(out, idx, soft, axis=-1)
         return out
 
-    def write_content(self, engine, state, interface, log, b):
-        nt = engine.config.num_tiles
-        ct = engine.memory_map.ct_node
+    def write_content(self, engine, state, interface):
         # The similarity scan stays a dense O(N·W) matmul (it is BLAS
         # bound, not the hot term); sparsity enters at the softmax.
         scores = engine.backend.write_scores(state.memory, interface.write_key)
-        for t in range(nt):
-            log.add("similarity", t, ct, 2 * b)
         scaled = interface.write_strength * scores
-        content_w = self._scatter_softmax(
+        return self._scatter_softmax(
             engine, scaled, _topk_largest(scaled, self.top_k)
         )
-        for t in range(nt):
-            log.add("similarity", ct, t, 2 * b)
-        return content_w
 
     # -- allocation ---------------------------------------------------
-    def allocation(self, engine, usage, log, b):
-        cfg = engine.config
-        ct = engine.memory_map.ct_node
-        per_tile = max(1, self.top_k // cfg.num_tiles)
-        for t in range(cfg.num_tiles):
-            log.add("usage_sort", t, ct, b * per_tile)
-            log.add("usage_sort", ct, t, b * per_tile)
+    def allocation(self, engine, usage):
         idx = _topk_smallest(usage, self.top_k)
         vals = np.take_along_axis(usage, idx, axis=-1)
         # Stable argsort of the gathered slice: ties break toward the
@@ -343,26 +287,10 @@ class SparseAccess(AccessPolicy):
         alloc_k = K.allocation_from_order(vals, sub_order)
         alloc = np.zeros_like(usage)
         np.put_along_axis(alloc, idx, alloc_k, axis=-1)
-        for hop in range(cfg.num_tiles - 1):
-            log.add("allocation", hop, hop + 1, b)
         return alloc
 
     # -- write phase --------------------------------------------------
-    def write_phase(self, engine, state, write_w, interface, log, b):
-        cfg = engine.config
-        mmap = engine.memory_map
-        nt = cfg.num_tiles
-        # Same blockwise message pattern as the dense path, but each
-        # segment carries only the ≤K written rows' worth of operands.
-        rows_k = max(1, self.top_k // nt)
-        for t, row_owners, col_owners, _, _ in mmap.linkage_dataflow:
-            for owner in row_owners:
-                log.add("linkage", owner, t, b * rows_k)
-            for owner in col_owners:
-                log.add("linkage", owner, t, 2 * b * rows_k)
-        for hop in range(nt - 1):
-            log.add("precedence", hop, hop + 1, b)
-        log.add("precedence", nt - 1, mmap.ct_node, b)
+    def write_phase(self, engine, state, write_w, interface):
         if engine._fused_active is not None:
             # Masked dense step: advance the active slots in place on
             # the resident arrays, touching only the written rows of
@@ -381,39 +309,14 @@ class SparseAccess(AccessPolicy):
         )
 
     # -- read ---------------------------------------------------------
-    def read_content(self, engine, memory, interface, log, b):
-        nt = engine.config.num_tiles
-        ct = engine.memory_map.ct_node
-        r = engine.config.num_reads
+    def read_content(self, engine, memory, interface):
         rscores = engine.backend.read_scores(memory, interface.read_keys)
-        for t in range(nt):
-            log.add("similarity", t, ct, 2 * b * r)
         scaled = interface.read_strengths[..., None] * rscores
-        content_r = self._scatter_softmax(
+        return self._scatter_softmax(
             engine, scaled, _topk_largest(scaled, self.top_k)
         )
-        for t in range(nt):
-            log.add("similarity", ct, t, 2 * b * r)
-        return content_r
 
-    def forward_backward(self, engine, linkage, prev_read_w, log):
-        cfg = engine.config
-        mmap = engine.memory_map
-        r = prev_read_w.shape[-2]
-        b = engine._traffic_words(_lead_batch(prev_read_w.shape[:-2]))
-        # Dense message pattern, K-scaled words: operand segments and
-        # psum chains carry the support rows only.
-        rows_k = max(1, self.top_k // cfg.num_tiles)
-        nt_h, nt_w = mmap.nt_h, mmap.nt_w
-        for t, row_owners, col_owners, bi, bj in mmap.linkage_dataflow:
-            for owner in col_owners:
-                log.add("forward_backward", owner, t, b * r * rows_k)
-            for owner in row_owners:
-                log.add("forward_backward", owner, t, b * r * rows_k)
-            if bj + 1 < nt_w:
-                log.add("forward_backward", t, t + 1, b * r * rows_k)
-            if bi + 1 < nt_h:
-                log.add("forward_backward", t, t + nt_w, b * r * rows_k)
+    def forward_backward(self, engine, linkage, prev_read_w):
         # f = w_r L^T / b = w_r L contracted over the previous read
         # weights' support: the weights are non-negative with at most K
         # nonzeros per head (read truncation), so the dropped terms are
@@ -435,9 +338,7 @@ class SparseAccess(AccessPolicy):
         self._read_support = (out, idx, vals)
         return out
 
-    def read_vectors(self, engine, memory, read_w, log, b):
-        cfg = engine.config
-        ct = engine.memory_map.ct_node
+    def read_vectors(self, engine, memory, read_w):
         # The support read_weights just selected is the support of the
         # array it returned; reselect only for any other array.
         support, self._read_support = self._read_support, None
@@ -446,10 +347,7 @@ class SparseAccess(AccessPolicy):
         else:
             idx = _topk_largest(read_w, self.top_k)
             vals = np.take_along_axis(read_w, idx, axis=-1)
-        read_vecs = engine.backend.sparse_read_vectors(memory, vals, idx)
-        for t in range(cfg.num_tiles):
-            log.add("memory_read", t, ct, b * cfg.num_reads * cfg.word_size)
-        return read_vecs
+        return engine.backend.sparse_read_vectors(memory, vals, idx)
 
 
 def make_access_policy(config: HiMAConfig) -> AccessPolicy:

@@ -25,16 +25,18 @@ count scales by ``B``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import kernels as SK  # stacked shard kernels
-from repro.core.access import _lead_batch, make_access_policy
+from repro.core.access import make_access_policy
 from repro.core.backend import make_backend
 from repro.core.config import HiMAConfig
-from repro.core.mapping import MemoryMap
+from repro.core.mapping import MemoryMap, TrafficTemplate
 from repro.dnc import numpy_ref as K  # the shared numpy kernels
 from repro.dnc.approx import SoftmaxApproximator, skimmed_sort_order
 from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig, NumpyDNCState
@@ -55,21 +57,32 @@ class TrafficEvent:
 
 
 class TrafficLog:
-    """Accumulates :class:`TrafficEvent` records for one or more steps.
+    """Accumulates the inter-tile traffic of one or more steps.
+
+    A step's messages are fixed by the partition and the dataflow (a
+    :class:`~repro.core.mapping.TrafficTemplate`); only their word
+    counts scale, by the number of slots stepped.  So a tick is recorded
+    as ``(template, scale)`` in O(1) (:meth:`record`), and
+    :meth:`add` is the one-message case of the same record.  The word
+    aggregates are template totals times summed scales; :attr:`events`
+    and :meth:`messages` expand the recorded ticks into
+    :class:`TrafficEvent` / :class:`~repro.noc.packet.Message` objects
+    only when read — one event per message, in record order.
 
     The log is cumulative by design: every :meth:`TiledEngine.step`,
     :meth:`TiledEngine.run`, and :meth:`TiledEngine.run_batch` call
-    appends its events and nothing ever clears them implicitly.  Callers
+    records its traffic and nothing ever clears it implicitly.  Callers
     that want per-run or per-phase traffic (benchmark harnesses, the perf
-    model) must call :meth:`clear` at their phase boundaries, otherwise
-    warm-up and repeat traffic piles into one ever-growing list.
+    model) must call :meth:`clear` at their phase boundaries.
 
     **Ring-buffer compaction** (``max_events``): long-running services
     that never hit a phase boundary (the :mod:`repro.serve` session
     server) can bound the log's memory.  With ``max_events=M`` the log
-    retains at most ``M`` recent events; when a new event would exceed
-    that, the oldest half folds into running aggregates in one pass, so
-    appends stay amortized O(1) and memory stays O(M).  The contract:
+    retains at most ``M`` recent events: whenever an appended event
+    would exceed that, the oldest events fold into the aggregates until
+    ``M // 2`` remain.  The window is *computed* from the event count —
+    events are never materialized to be folded — and memory stays O(M).
+    The contract:
 
     * :meth:`total_words`, :meth:`words_by_kernel`, and
       :meth:`inter_pt_words` remain **exact** over everything ever
@@ -88,49 +101,80 @@ class TrafficLog:
             )
         self.ct_node = ct_node
         self.max_events = max_events
-        self.events: List[TrafficEvent] = []
-        #: Events folded into aggregates and no longer retained.
-        self.dropped_events = 0
-        self._compacted_words = 0
-        self._compacted_by_kernel: Dict[str, int] = {}
-        self._compacted_inter_pt = 0
+        self._single: Dict[Tuple[str, int, int], TrafficTemplate] = {}
+        self.clear()
+
+    def record(self, template: TrafficTemplate, scale: int) -> None:
+        """Log ``template``'s messages once, each word count times ``scale``."""
+        scale = int(scale)
+        if scale <= 0 or not template.size:
+            return
+        self._ticks.append((self._count, template, scale))
+        self._count += template.size
+        self._scales[template] = self._scales.get(template, 0) + scale
+        self._events = None
+        if self.max_events is not None:
+            start = self.dropped_events
+            while self._ticks[0][0] + self._ticks[0][1].size <= start:
+                self._ticks.popleft()
 
     def add(self, kernel: str, src: int, dst: int, words: int) -> None:
+        """Log one message (dropped when ``src == dst`` or ``words <= 0``)."""
         if words <= 0 or src == dst:
             return
-        self.events.append(TrafficEvent(kernel, src, dst, int(words)))
-        if self.max_events is not None and len(self.events) > self.max_events:
-            self._compact(len(self.events) - self.max_events // 2)
-
-    def _compact(self, count: int) -> None:
-        """Fold the oldest ``count`` events into the exact aggregates."""
-        for e in self.events[:count]:
-            self._compacted_words += e.words
-            self._compacted_by_kernel[e.kernel] = (
-                self._compacted_by_kernel.get(e.kernel, 0) + e.words
+        template = self._single.get((kernel, src, dst))
+        if template is None:
+            template = self._single[kernel, src, dst] = TrafficTemplate(
+                [(kernel, src, dst, 1)], self.ct_node
             )
-            if e.src != self.ct_node and e.dst != self.ct_node:
-                self._compacted_inter_pt += e.words
-        del self.events[:count]
-        self.dropped_events += count
+        self.record(template, words)
+
+    @property
+    def dropped_events(self) -> int:
+        """Events folded into aggregates and no longer retained."""
+        count, cap = self._count, self.max_events
+        if cap is None or count <= cap:
+            return 0
+        # Each fold leaves cap // 2 events; the next comes once the
+        # window is back above cap, i.e. every cap + 1 - cap // 2 events.
+        half = cap // 2
+        return count - half - (count - cap - 1) % (cap + 1 - half)
+
+    @property
+    def events(self) -> List[TrafficEvent]:
+        """The retained window as events (cached until the next record)."""
+        if self._events is None:
+            start = self.dropped_events
+            self._events = [
+                TrafficEvent(kernel, src, dst, words * scale)
+                for first, template, scale in self._ticks
+                for kernel, src, dst, words
+                in template.rows[max(0, start - first):]
+            ]
+        return self._events
 
     # ------------------------------------------------------------------
     def total_words(self) -> int:
-        return self._compacted_words + sum(e.words for e in self.events)
+        return sum(t.total_words * s for t, s in self._scales.items())
 
     def words_by_kernel(self) -> Dict[str, int]:
-        totals = dict(self._compacted_by_kernel)
-        for e in self.events:
-            totals[e.kernel] = totals.get(e.kernel, 0) + e.words
+        totals: Dict[str, int] = {}
+        for template, scale in self._scales.items():
+            for kernel, words in template.words_by_kernel.items():
+                totals[kernel] = totals.get(kernel, 0) + words * scale
         return totals
 
     def inter_pt_words(self) -> int:
         """Words exchanged directly between PTs (excludes CT traffic)."""
-        return self._compacted_inter_pt + sum(
-            e.words
-            for e in self.events
-            if e.src != self.ct_node and e.dst != self.ct_node
-        )
+        return sum(t.inter_pt_words * s for t, s in self._scales.items())
+
+    def words_by_pair(self) -> Dict[Tuple[int, int], int]:
+        """Words per ``(src, dst)`` node pair over everything logged."""
+        totals: Dict[Tuple[int, int], int] = {}
+        for template, scale in self._scales.items():
+            for pair, words in template.words_by_pair.items():
+                totals[pair] = totals.get(pair, 0) + words * scale
+        return totals
 
     def messages(
         self, link_words_per_cycle: int, kernel: Optional[str] = None
@@ -142,23 +186,25 @@ class TrafficLog:
         the same id whether or not a ``kernel`` filter is applied —
         per-kernel message sets from one log never alias ids.
         """
-        messages = []
-        for event_idx, e in enumerate(self.events):
-            if kernel is not None and e.kernel != kernel:
-                continue
-            size = max(1, -(-e.words // link_words_per_cycle))
-            messages.append(
-                Message(self.dropped_events + event_idx, e.src, e.dst, size=size)
+        first = self.dropped_events
+        return [
+            Message(
+                first + idx, e.src, e.dst,
+                size=max(1, -(-e.words // link_words_per_cycle)),
             )
-        return messages
+            for idx, e in enumerate(self.events)
+            if kernel is None or e.kernel == kernel
+        ]
 
     def clear(self) -> None:
         """Drop all events and aggregates (callers own phase boundaries)."""
-        self.events.clear()
-        self.dropped_events = 0
-        self._compacted_words = 0
-        self._compacted_by_kernel = {}
-        self._compacted_inter_pt = 0
+        #: ``(index of first event, template, scale)`` per recorded tick
+        #: that still reaches into the retained window.
+        self._ticks: Deque[Tuple[int, TrafficTemplate, int]] = deque()
+        #: Summed scale per template, in first-record order.
+        self._scales: Dict[TrafficTemplate, int] = {}
+        self._count = 0
+        self._events: Optional[List[TrafficEvent]] = None
 
 
 class TiledEngine:
@@ -193,6 +239,11 @@ class TiledEngine:
         )
         #: Weight container + monolithic reference semantics.
         self.reference = NumpyDNC(ref_config, rng=rng)
+        #: Every step's inter-tile messages, fixed by the config and the
+        #: memory map: a step records it once, scaled by its slot count.
+        self._traffic_template = self.memory_map.step_traffic(
+            ref_config.interface_size
+        )
         if config.two_stage_sort and not config.distributed:
             self.sorter = TwoStageSorter(config.memory_size, config.num_tiles)
         else:
@@ -214,7 +265,6 @@ class TiledEngine:
         # live in the backend's scratch), with traffic words scaled by
         # the active count instead of the resident batch size.
         self._fused_active: Optional[np.ndarray] = None
-        self._traffic_words_scale: Optional[int] = None
 
     # ------------------------------------------------------------------
     def initial_state(self, batch_size: Optional[int] = None) -> NumpyDNCState:
@@ -245,8 +295,8 @@ class TiledEngine:
 
         ``x`` is ``(input_size,)`` or batched ``(B, input_size)`` with a
         matching batched ``state``.  Inputs are cast to the configured
-        dtype policy.  Events append to :attr:`traffic` cumulatively —
-        see :class:`TrafficLog` for the clearing contract.
+        dtype policy.  The step's traffic is recorded into :attr:`traffic`
+        cumulatively — see :class:`TrafficLog` for the clearing contract.
 
         **Masked in-place form** (``active`` given): ``state`` must be
         batched, and ``active`` selects which batch slots advance — an
@@ -281,8 +331,11 @@ class TiledEngine:
         self, x: np.ndarray, state: NumpyDNCState
     ) -> Tuple[np.ndarray, NumpyDNCState]:
         if self.config.distributed:
-            return self._step_distributed(x, state)
-        return self._step_dnc(x, state)
+            y, new_state = self._step_distributed(x, state)
+        else:
+            y, new_state = self._step_dnc(x, state)
+        self.traffic.record(self._traffic_template, self._slots(x.shape[:-1]))
+        return y, new_state
 
     def _step_masked(
         self, x: np.ndarray, state: NumpyDNCState, active: np.ndarray
@@ -375,13 +428,11 @@ class TiledEngine:
         """
         b = state.batch_size
         full = idx.size == b
-        self._traffic_words_scale = int(idx.size)
         self._fused_active = idx
         try:
             y, new_state = self._step_plain(x, state)
         finally:
             self._fused_active = None
-            self._traffic_words_scale = None
         prof = self.profiler
         if prof is not None:
             tg = prof.now()
@@ -405,11 +456,11 @@ class TiledEngine:
             y[~mask] = 0.0
         return y, state
 
-    def _traffic_words(self, lead_batch: int) -> int:
-        """Traffic word multiplier: the active count under the
-        partial-occupancy dense masked step, else the lead batch."""
-        scale = self._traffic_words_scale
-        return lead_batch if scale is None else scale
+    def _slots(self, lead: Tuple[int, ...]) -> int:
+        """Slots this step advances — the traffic and bytes multiplier:
+        the active count under the dense masked step, else the lead batch."""
+        active = self._fused_active
+        return math.prod(lead) if active is None else int(active.size)
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
         """Run a ``(T, input_size)`` sequence; returns ``(T, output_size)``.
@@ -462,12 +513,7 @@ class TiledEngine:
     def _step_dnc(
         self, x: np.ndarray, state: NumpyDNCState
     ) -> Tuple[np.ndarray, NumpyDNCState]:
-        ref = self.reference
-        nt = self.config.num_tiles
-        ct = self.memory_map.ct_node
-        log = self.traffic
-        lead = x.shape[:-1]
-        b = self._traffic_words(_lead_batch(lead))
+        b = self._slots(x.shape[:-1])
         access = self.access
         # Per-phase profiling seam: off (None) by default, near-zero when
         # on — each enabled phase costs one perf_counter call and a dict
@@ -478,8 +524,6 @@ class TiledEngine:
 
         # --- Controller at CT; interface vectors broadcast to PTs. -------
         lstm_h, lstm_c, interface = self._controller(x, state)
-        for t in range(nt):
-            log.add("interface_broadcast", ct, t, b * ref.config.interface_size)
         if prof is not None:
             tp = prof.lap("controller", tp, access.bytes_touched("controller", self, b))
 
@@ -487,16 +531,15 @@ class TiledEngine:
         # computation bit-equal to the whole-array form (normalization,
         # retention, usage, erase/write are all row-local), so the hot
         # path runs each kernel once over all rows — batched, that is one
-        # stacked matmul instead of Nt small ones — while the traffic
-        # loops inside the access policy record the per-tile dataflow
-        # exactly as before.  Every phase whose cost scales with N is
-        # delegated to the configured access policy (dense = the paper's
-        # verbatim path; sparse = top-K addressing); the exact O(N)
-        # elementwise pieces — retention, usage, weight merges — stay
-        # here, shared by both.
+        # stacked matmul instead of Nt small ones — while the per-tile
+        # dataflow is the step's traffic template.  Every phase whose
+        # cost scales with N is delegated to the configured access policy
+        # (dense = the paper's verbatim path; sparse = top-K addressing);
+        # the exact O(N) elementwise pieces — retention, usage, weight
+        # merges — stay here, shared by both.
 
         # --- Content-based write weighting (normalize + similarity). -----
-        content_w = access.write_content(self, state, interface, log, b)
+        content_w = access.write_content(self, state, interface)
         if prof is not None:
             tp = prof.lap(
                 "content_addressing", tp,
@@ -507,7 +550,7 @@ class TiledEngine:
         psi = K.retention(interface.free_gates, state.read_w)
         usage = K.usage_update(state.usage, state.write_w, psi)
 
-        alloc = access.allocation(self, usage, log, b)
+        alloc = access.allocation(self, usage)
 
         write_w = K.write_weight_merge(
             content_w, alloc, interface.write_gate, interface.allocation_gate
@@ -520,7 +563,7 @@ class TiledEngine:
 
         # --- Write phase: erase+write, linkage, precedence. ---------------
         memory, linkage, precedence = access.write_phase(
-            self, state, write_w, interface, log, b
+            self, state, write_w, interface
         )
         if prof is not None:
             tp = prof.lap(
@@ -529,7 +572,7 @@ class TiledEngine:
             )
 
         # --- Content-based read weighting on the updated memory. ----------
-        content_r = access.read_content(self, memory, interface, log, b)
+        content_r = access.read_content(self, memory, interface)
         if prof is not None:
             tp = prof.lap(
                 "content_addressing", tp,
@@ -537,14 +580,14 @@ class TiledEngine:
             )
 
         # --- Forward-backward over the linkage blocks. ---------------------
-        fwd, bwd = access.forward_backward(self, linkage, state.read_w, log)
+        fwd, bwd = access.forward_backward(self, linkage, state.read_w)
 
         read_w = access.read_weights(
             self, content_r, fwd, bwd, interface.read_modes
         )
 
         # --- Memory read: local partials + psum reduction at the CT. ------
-        read_vecs = access.read_vectors(self, memory, read_w, log, b)
+        read_vecs = access.read_vectors(self, memory, read_w)
         if prof is not None:
             tp = prof.lap("read", tp, access.bytes_touched("read", self, b))
 
@@ -559,60 +602,8 @@ class TiledEngine:
         return y, new_state
 
     # ------------------------------------------------------------------
-    def _log_linkage_traffic(self, b: int) -> None:
-        """Blockwise segment-distribution traffic for the linkage update.
-
-        Traffic follows the submatrix grid exactly whichever backend
-        kernel computes the update — the dataflow is a property of the
-        partition, not of the kernel fusion.
-        """
-        mmap = self.memory_map
-        log = self.traffic
-        words = b * mmap.rows_per_tile
-        # Fetch w_w row segment and (w_w, p) column segments from the
-        # row-wise owners of those index ranges.
-        for t, row_owners, col_owners, _, _ in mmap.linkage_dataflow:
-            for owner in row_owners:
-                log.add("linkage", owner, t, words)
-            for owner in col_owners:
-                log.add("linkage", owner, t, 2 * words)
-
-    def _forward_backward(
-        self, linkage: np.ndarray, prev_read_w: np.ndarray, log: TrafficLog
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``f = L w_r`` / ``b = L^T w_r`` with blockwise psum traffic.
-
-        Like :meth:`_log_linkage_traffic`, traffic is logged per linkage
-        block while the compute dispatches through the backend seam (reference:
-        one stacked matmul pair; tuned: a fused single-pass panel sweep).
-        The NoC events stay identical whichever kernel computes — the
-        dataflow is a property of the partition, not of the kernel
-        fusion — while the profiler's bytes column tracks the backend
-        via ``access.bytes_touched``.
-        """
-        mmap = self.memory_map
-        r = prev_read_w.shape[-2]
-        b = self._traffic_words(_lead_batch(prev_read_w.shape[:-2]))
-        nt_h, nt_w = mmap.nt_h, mmap.nt_w
-        words = b * r * mmap.rows_per_tile
-        for t, row_owners, col_owners, bi, bj in mmap.linkage_dataflow:
-            # Operand segments arrive from their row-wise owners.
-            for owner in col_owners:
-                log.add("forward_backward", owner, t, words)
-            for owner in row_owners:
-                log.add("forward_backward", owner, t, words)
-            # Partial results reduce across the block row/column; the last
-            # tile in each chain forwards to the segment owner.
-            if bj + 1 < nt_w:
-                log.add("forward_backward", t, t + 1, b * r * mmap.block_rows)
-            if bi + 1 < nt_h:
-                log.add("forward_backward", t, t + nt_w, b * r * mmap.block_cols)
-        return self.backend.forward_backward(
-            linkage, prev_read_w, active=self._fused_active
-        )
-
-    def _usage_sort(self, usage: np.ndarray, log: TrafficLog) -> np.ndarray:
-        """Sorted order via the configured sorter, with traffic.
+    def _usage_sort(self, usage: np.ndarray) -> np.ndarray:
+        """Sorted order via the configured sorter.
 
         ``usage`` is ``(N,)`` or batched ``(B, N)``; the returned order has
         the same shape.  Both the two-stage sorter and the skimmed order
@@ -620,23 +611,11 @@ class TiledEngine:
         in Python.
         """
         cfg = self.config
-        ct = self.memory_map.ct_node
-        n_local = cfg.local_rows
-        b = self._traffic_words(_lead_batch(usage.shape[:-1]))
         if cfg.skim_fraction > 0.0:
-            order = skimmed_sort_order(usage, cfg.skim_fraction)
-            effective = cfg.effective_sort_length
-            per_tile = max(1, effective // cfg.num_tiles)
-        elif self.sorter is not None:
-            _, order = self.sorter.sort(usage)
-            per_tile = n_local
-        else:
-            order = self.backend.argsort(usage)
-            per_tile = n_local
-        for t in range(cfg.num_tiles):
-            log.add("usage_sort", t, ct, b * per_tile)  # (sorted) shard to CT
-            log.add("usage_sort", ct, t, b * per_tile)  # merged order back
-        return order
+            return skimmed_sort_order(usage, cfg.skim_fraction)
+        if self.sorter is not None:
+            return self.sorter.sort(usage)[1]
+        return self.backend.argsort(usage)
 
     # ------------------------------------------------------------------
     # DNC-D mode: purely local tiles, fully stacked
@@ -666,17 +645,9 @@ class TiledEngine:
         written; DNC-D linkage has no off-block mass.
         """
         cfg = self.config
-        ref = self.reference
-        ct = self.memory_map.ct_node
         nt = cfg.num_tiles
-        w, r = cfg.word_size, cfg.num_reads
-        log = self.traffic
-        lead = x.shape[:-1]
-        b = _lead_batch(lead)
 
         lstm_h, lstm_c, interface = self._controller(x, state)
-        for t in range(nt):
-            log.add("interface_broadcast", ct, t, b * ref.config.interface_size)
 
         # Stack row-wise shards along a tile axis: (..., Nt, n[, W]).
         local_mem = SK.shard_matrix(state.memory, nt)
@@ -740,8 +711,6 @@ class TiledEngine:
         # Eq. (4) with uniform alpha: the engine models dataflow, the
         # trained alpha lives in repro.dnc.distributed.DNCD.
         read_vecs = (local_reads / nt).sum(axis=-3)
-        for t in range(nt):
-            log.add("read_vector_collect", t, ct, b * r * w)
 
         y = self._output(lstm_h, read_vecs)
         if in_place:

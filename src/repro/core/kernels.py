@@ -258,12 +258,19 @@ def _write_sweep(
         mw = _scratch_rows(
             scratch, "fused.mw", cells * n, width, memory.dtype
         ).reshape(chunk + (n, width))
+        # Each outer product first lays its column operand out in the
+        # destination, so the ufunc's inner loop runs over contiguous
+        # rows rather than a stride-0 broadcast: the same IEEE operation
+        # on the same operands per cell (np.einsum would flip the sign
+        # of zero).
         m_out = out_memory[sl]
         acc = mw if in_place else m_out
-        np.multiply(w_col, erase[sl][..., None, :], out=acc)
+        np.copyto(acc, w_col)
+        np.multiply(acc, erase[sl][..., None, :], out=acc)
         np.subtract(1.0, acc, out=acc)
         np.multiply(acc, memory[sl], out=m_out)
-        np.multiply(w_col, value[sl][..., None, :], out=mw)
+        np.copyto(mw, w_col)
+        np.multiply(mw, value[sl][..., None, :], out=mw)
         m_out += mw
         # Linkage cells: ((1 - w_i) - w_j) * L + w_i * p_j, zero diagonal.
         one_minus_w = 1.0 - w_col
@@ -278,13 +285,15 @@ def _write_sweep(
             ).reshape(chunk + (r1 - r0, n))
             panel = link_out[..., r0:r1, :]
             acc = t if in_place else panel
-            np.subtract(one_minus_w[..., r0:r1, :], w_row, out=acc)
+            np.copyto(acc, one_minus_w[..., r0:r1, :])
+            np.subtract(acc, w_row, out=acc)
             np.multiply(acc, link_in[..., r0:r1, :], out=panel)
             if use_ger:
                 # panel.T is F-contiguous, so ?ger accumulates in place.
                 ger(1.0, p, w[r0:r1], a=panel.T, overwrite_a=1)
             else:
-                np.multiply(w_col[..., r0:r1, :], p_row, out=t)
+                np.copyto(t, w_col[..., r0:r1, :])
+                np.multiply(t, p_row, out=t)
                 panel += t
         link_out[..., diag, diag] = 0.0
         # Precedence: (1 - sum w) * p + w, from the *previous* precedence

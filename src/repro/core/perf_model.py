@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.hw.mm_engine import MMEngine
 from repro.hw.power_model import WorkloadActivity
 from repro.hw.sorters import CentralizedMergeSorter, MDSASorter, TwoStageSorter
 from repro.noc import NoCSimulator, build_topology
-from repro.noc.packet import Message
 from repro.utils.rng import SeedLike
 
 #: Engine-log pseudo-kernels folded into Table 1 kernels for reporting.
@@ -89,19 +88,13 @@ class HiMAPerformanceModel:
 
         comm: Dict[str, float] = {}
         words: Dict[str, int] = {}
-        by_kernel: Dict[str, List[Message]] = {}
-        for kernel in set(e.kernel for e in engine.traffic.events):
+        for kernel, kernel_words in engine.traffic.words_by_kernel().items():
+            target = _TRAFFIC_ALIASES.get(kernel, kernel)
             msgs = engine.traffic.messages(
                 self.config.link_words_per_cycle, kernel=kernel
             )
-            by_kernel[kernel] = msgs
-        for kernel, msgs in by_kernel.items():
-            target = _TRAFFIC_ALIASES.get(kernel, kernel)
             latency = self.noc.run(msgs).makespan if msgs else 0
             comm[target] = comm.get(target, 0.0) + latency
-            kernel_words = sum(
-                e.words for e in engine.traffic.events if e.kernel == kernel
-            )
             words[target] = words.get(target, 0) + kernel_words
         self._kernel_comm = comm
         self._kernel_words = words
@@ -199,10 +192,11 @@ class HiMAPerformanceModel:
     def _hop_words(self) -> float:
         """Total word-hops of one timestep on this topology (real routes)."""
         self._collect_traffic()
-        total = 0.0
-        for event in self._engine.traffic.events:
-            total += event.words * self.noc.routing.hops(event.src, event.dst)
-        return total
+        hops = self.noc.routing.hops
+        return float(sum(
+            words * hops(src, dst)
+            for (src, dst), words in self._engine.traffic.words_by_pair().items()
+        ))
 
     def activity(self) -> WorkloadActivity:
         """Per-timestep event counts (all PTs) for the power model."""

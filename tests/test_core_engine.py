@@ -278,8 +278,8 @@ class TestRun:
         # Corrupt the sharded path and confirm verification catches it.
         original = engine._usage_sort
 
-        def corrupted(usage, log):
-            order = original(usage, log)
+        def corrupted(usage):
+            order = original(usage)
             return order[::-1].copy()
 
         monkeypatch.setattr(engine, "_usage_sort", corrupted)
