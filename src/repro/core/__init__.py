@@ -4,7 +4,7 @@
   prototype presets (HiMA-baseline, HiMA-DNC, HiMA-DNC-D),
 * :mod:`repro.core.kernels` — the Table 1 kernel registry,
 * :mod:`repro.core.backend` — pluggable kernel backends for the hot
-  path (reference / tuned CPU / optional torch),
+  path (reference / tuned),
 * :mod:`repro.core.partition` — submatrix-wise partition traffic models
   (Eqs. 1-3) and optimizers,
 * :mod:`repro.core.mapping` — memory-to-tile placement,

@@ -10,7 +10,7 @@ argsort), the engine constructs one per instance from
 ``HiMAConfig(backend=...)``, and every access policy / masked serving
 path dispatches through it.
 
-Three backends ship:
+Two backends ship:
 
 * ``reference`` — bitwise the ``repro.dnc.numpy_ref`` oracle.  The
   dense write phase is the shared cache-blocked sweep of
@@ -28,11 +28,6 @@ Three backends ship:
   rounds once per cell where the ufuncs round twice); the content
   scores and the fused backward psum are tolerance-level.  Trajectories
   stay within ``VERIFY_TOLERANCES``.
-* ``torch`` — optional (``pip install repro-hima[torch]``), registered
-  lazily when torch is importable; see
-  :mod:`repro.core.backend_torch`.  Runs CPU or CUDA and brings up the
-  reduced-precision dtypes (``float16``/``bfloat16``) under the
-  existing dtype policy.
 
 Backend instances are **per-engine** (scratch buffers are not shared
 across the sharded serving stack's thread pools); ``make_backend``
@@ -63,7 +58,6 @@ if _scipy_blas is not None:
     _GER = {"<f4": _scipy_blas.sger, "<f8": _scipy_blas.dger}
 
 __all__ = [
-    "BACKEND_CHOICES",
     "KernelBackend",
     "ReferenceBackend",
     "TunedBackend",
@@ -72,12 +66,6 @@ __all__ = [
     "make_backend",
     "register_backend",
 ]
-
-#: Built-in backend names, in documentation order.  ``torch`` is only
-#: *constructible* when torch is importable, but the name is always
-#: valid in ``HiMAConfig`` so configs can be built and serialized on
-#: machines without the extra installed.
-BACKEND_CHOICES = ("reference", "tuned", "torch")
 
 
 class KernelBackend:
@@ -97,8 +85,6 @@ class KernelBackend:
 
     #: Registry name; set by subclasses.
     name = "abstract"
-    #: Dtype-policy names this backend can compute under.
-    supported_dtypes: Tuple[str, ...] = ("float64", "float32")
 
     #: How many times this backend's read phase streams the linkage
     #: support: 2 for the separate forward + backward matvecs, 1 for a
@@ -510,70 +496,26 @@ def register_backend(name: str, factory: BackendFactory) -> None:
 register_backend("reference", lambda config: ReferenceBackend())
 register_backend("tuned", lambda config: TunedBackend())
 
-_torch_probe_done = False
-
-
-def _ensure_torch_registered() -> None:
-    """Import the torch backend module once, if torch is importable.
-
-    The module self-registers on import; an ImportError leaves the
-    registry without ``torch`` and :func:`make_backend` reports the
-    missing extra.
-    """
-    global _torch_probe_done
-    if _torch_probe_done or "torch" in _REGISTRY:
-        return
-    _torch_probe_done = True
-    try:
-        from repro.core import backend_torch  # noqa: F401
-    except ImportError:
-        pass
-
 
 def available_backends() -> Tuple[str, ...]:
-    """Names constructible right now (``torch`` only when importable)."""
-    _ensure_torch_registered()
+    """Registered backend names, sorted."""
     return tuple(sorted(_REGISTRY))
 
 
 def check_backend_name(name: str) -> None:
-    """Validate a config-level backend name; raises :class:`ConfigError`.
-
-    ``torch`` passes even when torch is not installed — the name is
-    legal, construction is what requires the extra — so configs remain
-    buildable everywhere.  Third-party names pass once registered.
-    """
-    if name in BACKEND_CHOICES or name in _REGISTRY:
-        return
-    raise ConfigError(
-        f"backend must be one of {BACKEND_CHOICES} (or a name registered "
-        f"via repro.core.backend.register_backend), got {name!r}"
-    )
+    """Require a registered backend name; raises :class:`ConfigError`."""
+    if name not in _REGISTRY:
+        raise ConfigError(
+            f"backend must be one of {available_backends()} (or a name "
+            f"registered via repro.core.backend.register_backend), "
+            f"got {name!r}"
+        )
 
 
 def make_backend(config) -> KernelBackend:
     """Construct a fresh backend instance for one engine.
 
-    Raises :class:`ConfigError` when the name is unknown, when
-    ``torch`` is requested without torch installed, or when the
-    backend cannot compute under ``config.dtype``.
+    Raises :class:`ConfigError` when ``config.backend`` is not registered.
     """
-    name = config.backend
-    if name == "torch":
-        _ensure_torch_registered()
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        if name == "torch":
-            raise ConfigError(
-                "backend 'torch' requires torch, which is not importable; "
-                "install the extra: pip install 'repro-hima[torch]'"
-            )
-        check_backend_name(name)  # raises for unknown names
-        raise ConfigError(f"backend {name!r} is not registered")
-    backend = factory(config)
-    if config.dtype not in backend.supported_dtypes:
-        raise ConfigError(
-            f"backend {name!r} supports dtypes {backend.supported_dtypes}, "
-            f"got dtype {config.dtype!r}"
-        )
-    return backend
+    check_backend_name(config.backend)
+    return _REGISTRY[config.backend](config)

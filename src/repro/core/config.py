@@ -22,9 +22,6 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.utils.validation import (
     DTYPE_CHOICES,
-    EXTENDED_DTYPE_CHOICES,
-    REDUCED_DTYPE_CHOICES,
-    STORAGE_DTYPES,
     check_in,
     check_probability,
     check_positive,
@@ -97,10 +94,8 @@ class HiMAConfig:
     #: Kernel backend for the hot path (see :mod:`repro.core.backend`):
     #: ``"reference"`` is bitwise the ``numpy_ref`` oracle, ``"tuned"``
     #: adds BLAS/fused variants on the same kernels (within
-    #: ``VERIFY_TOLERANCES``, faster at large N), ``"torch"`` the optional torch
-    #: backend (CPU or CUDA; requires ``pip install repro-hima[torch]``).
-    #: The reduced-precision dtypes (``float16``/``bfloat16``) require
-    #: the torch backend.  The default honours the ``REPRO_BACKEND``
+    #: ``VERIFY_TOLERANCES``, faster at large N), or any name added with
+    #: ``register_backend``.  The default honours the ``REPRO_BACKEND``
     #: environment variable (CI runs whole suites under the tuned
     #: backend this way); explicit ``backend=`` always wins.
     backend: str = field(
@@ -144,20 +139,13 @@ class HiMAConfig:
         check_positive("macs_per_cycle", self.macs_per_cycle)
         check_positive("link_words_per_cycle", self.link_words_per_cycle)
         check_positive("sequence_length", self.sequence_length)
-        check_in("dtype", self.dtype, EXTENDED_DTYPE_CHOICES)
+        check_in("dtype", self.dtype, DTYPE_CHOICES)
         # Deferred import: backend.py imports kernels.py which imports
         # this module; by the time a config is *constructed* all three
         # are fully loaded.
         from repro.core.backend import check_backend_name
 
         check_backend_name(self.backend)
-        if self.dtype in REDUCED_DTYPE_CHOICES and self.backend != "torch":
-            raise ConfigError(
-                f"dtype {self.dtype!r} is a reduced-precision compute dtype "
-                f"and requires backend='torch' (numpy stores it as "
-                f"{STORAGE_DTYPES[self.dtype]!r} but cannot compute in it); "
-                f"install the extra: pip install 'repro-hima[torch]'"
-            )
         if self.memory_size % self.num_tiles != 0:
             raise ConfigError(
                 f"memory_size ({self.memory_size}) must be divisible by "
@@ -171,14 +159,8 @@ class HiMAConfig:
     # ------------------------------------------------------------------
     @property
     def np_dtype(self) -> np.dtype:
-        """The numpy *storage* dtype every engine state/weight buffer uses.
-
-        For the reduced-precision compute dtypes (``float16``,
-        ``bfloat16``) this is ``float32`` — numpy state stays float32
-        while the torch backend computes the hot path in the true half
-        precision (see ``repro.utils.validation.STORAGE_DTYPES``).
-        """
-        return np.dtype(STORAGE_DTYPES[self.dtype])
+        """The numpy dtype every engine state/weight buffer uses."""
+        return np.dtype(self.dtype)
 
     @property
     def local_rows(self) -> int:

@@ -30,12 +30,7 @@ from repro.dnc.approx import SoftmaxApproximator, skimmed_sort_order
 from repro.dnc.instrumentation import KernelRecorder
 from repro.errors import ConfigError
 from repro.utils.rng import SeedLike, new_rng
-from repro.utils.validation import (
-    DTYPE_CHOICES,
-    EXTENDED_DTYPE_CHOICES,
-    STORAGE_DTYPES,
-    check_in,
-)
+from repro.utils.validation import DTYPE_CHOICES, check_in
 
 _EPSILON = 1e-6
 _NORM_EPSILON = 1e-8
@@ -275,7 +270,7 @@ class NumpyDNCConfig:
     def __post_init__(self):
         # Fail at construction, not at the first np_dtype access deep in
         # a step; np_dtype itself stays check-free on the hot path.
-        check_in("dtype", self.dtype, EXTENDED_DTYPE_CHOICES)
+        check_in("dtype", self.dtype, DTYPE_CHOICES)
 
     @property
     def interface_size(self) -> int:
@@ -284,9 +279,7 @@ class NumpyDNCConfig:
 
     @property
     def np_dtype(self) -> np.dtype:
-        # Storage dtype: the reduced-precision compute dtypes store as
-        # float32 (numpy has no bfloat16; see STORAGE_DTYPES).
-        return np.dtype(STORAGE_DTYPES[self.dtype])
+        return np.dtype(self.dtype)
 
 
 @dataclass

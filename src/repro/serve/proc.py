@@ -930,6 +930,9 @@ class ProcCluster:
             raise ConfigError(
                 f"submit expects x of shape ({input_size},), got {x.shape}"
             )
+        # Before the replay log: a refused input must never be replayed.
+        if not np.isfinite(x).all():
+            raise ConfigError("submit expects a finite x, got NaN or inf")
         span = None
         ctx = tuple(trace) if trace is not None else None
         if self.tracer is not None:

@@ -315,8 +315,9 @@ class EngineShard:
 
         A refusal is backpressure (the global queue is full) and counts
         as an admission reject; the session itself stays open.  A
-        malformed input is rejected here, at the offending client —
-        never inside ``run_tick``, where it would poison a whole batch.
+        malformed input (wrong shape, NaN or inf) is rejected here, at
+        the offending client — never inside ``run_tick``, where it would
+        poison a whole batch or, for good, the session's memory.
 
         ``trace`` is a propagated ``(trace_id, span_id)`` parent context
         (the router/frontend span, possibly from another process); with
@@ -332,6 +333,8 @@ class EngineShard:
             raise ConfigError(
                 f"submit expects x of shape ({input_size},), got {x.shape}"
             )
+        if not np.isfinite(x).all():
+            raise ConfigError("submit expects a finite x, got NaN or inf")
         tracer = self.tracer
         span = (
             tracer.start(

@@ -13,25 +13,6 @@ from repro.errors import ConfigError
 #: model (dnc) can share it without a cross-layer import.
 DTYPE_CHOICES = ("float64", "float32")
 
-#: Reduced-precision compute dtypes.  These are *compute* dtypes only —
-#: numpy has no bfloat16 and float16 underflows the normalization
-#: epsilon, so the engine's numpy state stores them as float32 (see
-#: :data:`STORAGE_DTYPES`) while a capable kernel backend (the ``torch``
-#: backend) computes the hot path in the true half precision.  Valid in
-#: ``HiMAConfig`` only with such a backend.
-REDUCED_DTYPE_CHOICES = ("float16", "bfloat16")
-
-#: Every dtype-policy name accepted anywhere (configs, bench schema).
-EXTENDED_DTYPE_CHOICES = DTYPE_CHOICES + REDUCED_DTYPE_CHOICES
-
-#: Numpy storage dtype backing each dtype-policy name.
-STORAGE_DTYPES = {
-    "float64": "float64",
-    "float32": "float32",
-    "float16": "float32",
-    "bfloat16": "float32",
-}
-
 
 def check_positive(name: str, value: float) -> None:
     """Require ``value > 0``."""

@@ -7,18 +7,19 @@ The acceptance bars for the pluggable backend layer:
   the dense and sparse write phases;
 * the ``tuned`` backend must stay within the engine's per-dtype
   ``VERIFY_TOLERANCES`` of the reference on randomized trajectories
-  across every engine mode (dense, distributed, sparse, masked,
-  unfused), and its fused kernels keep the memory/precedence fields
-  bitwise on identical inputs (only the linkage's single-rounding BLAS
-  rank-1 accumulation may differ, at ulp scale);
+  across every engine mode (dense, distributed, sparse, masked), and
+  its fused kernels keep the memory/precedence fields bitwise on
+  identical inputs (only the linkage's single-rounding BLAS rank-1
+  accumulation may differ, at ulp scale);
 * the full serving stack — arena micro-batching, sharded migration,
   process-worker crash recovery — must hold its <= 1e-10
   served-vs-solo bar under a non-default backend;
-* the ``torch`` backend is import-optional: the *name* always
-  validates, construction without torch raises a :class:`ConfigError`
-  pointing at the extra, and the torch tests below skip cleanly when
-  torch is absent.
+* the registry stays open to an out-of-tree backend: one registered
+  here by name receives the kernel calls of the dense, DNC-D and sparse
+  paths, and unregistered names are rejected.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.core import kernels as SK
 from repro.core.access import _topk_largest
 from repro.core.backend import (
     _REGISTRY,
+    KernelBackend,
     ReferenceBackend,
     TunedBackend,
     available_backends,
@@ -69,6 +71,45 @@ def trajectory_inputs(engine, steps=6, batch=4, seed=1):
     ).astype(engine.config.np_dtype)
 
 
+def _counted(method):
+    def call(self, *args, **kwargs):
+        self.calls[method] += 1
+        return getattr(self.inner, method)(*args, **kwargs)
+
+    return call
+
+
+class CountingBackend(KernelBackend):
+    """An out-of-tree backend: counts every kernel call and delegates it
+    to a :class:`ReferenceBackend`."""
+
+    name = "counting"
+
+    def __init__(self):
+        super().__init__()
+        self.inner = ReferenceBackend()
+        self.calls = Counter()
+
+    write_scores = _counted("write_scores")
+    read_scores = _counted("read_scores")
+    stacked_write_scores = _counted("stacked_write_scores")
+    stacked_read_scores = _counted("stacked_read_scores")
+    argsort = _counted("argsort")
+    fused_erase_write_linkage = _counted("fused_erase_write_linkage")
+    fused_erase_write_linkage_inplace = _counted(
+        "fused_erase_write_linkage_inplace"
+    )
+    sparse_erase_write_linkage = _counted("sparse_erase_write_linkage")
+    sparse_erase_write_linkage_inplace = _counted(
+        "sparse_erase_write_linkage_inplace"
+    )
+    forward_backward = _counted("forward_backward")
+    read_weight_mix = _counted("read_weight_mix")
+    read_vectors = _counted("read_vectors")
+    sparse_forward_backward = _counted("sparse_forward_backward")
+    sparse_read_vectors = _counted("sparse_read_vectors")
+
+
 # ---------------------------------------------------------------------------
 # Registry and config validation
 # ---------------------------------------------------------------------------
@@ -94,39 +135,56 @@ class TestRegistry:
         assert isinstance(make_engine("reference").backend, ReferenceBackend)
         assert isinstance(make_engine("tuned").backend, TunedBackend)
 
-    def test_unknown_backend_name_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            HiMAConfig(**SMALL_CONFIG, backend="cuda9000")
+    @pytest.mark.parametrize("name", ["cuda9000", "torch"])
+    def test_unknown_backend_name_rejected(self, name):
+        with pytest.raises(ConfigError, match="backend") as err:
+            HiMAConfig(**SMALL_CONFIG, backend=name)
+        assert "'reference'" in str(err.value)
+        assert "'tuned'" in str(err.value)
 
-    def test_unknown_dtype_rejected(self):
+    @pytest.mark.parametrize("dtype", ["float8", "float16", "bfloat16"])
+    def test_unknown_dtype_rejected(self, dtype):
         with pytest.raises(ConfigError, match="dtype"):
-            HiMAConfig(**SMALL_CONFIG, dtype="float8")
-
-    @pytest.mark.parametrize("dtype", ["float16", "bfloat16"])
-    def test_reduced_dtype_requires_torch_backend(self, dtype):
-        with pytest.raises(ConfigError, match="torch"):
             HiMAConfig(**SMALL_CONFIG, dtype=dtype)
-
-    def test_torch_name_validates_without_torch(self):
-        """The *name* is always legal; construction needs the extra."""
-        config = HiMAConfig(**SMALL_CONFIG, backend="torch")
-        assert config.backend == "torch"
-
-    def test_torch_engine_without_torch_points_at_extra(self):
-        if "torch" in available_backends():
-            pytest.skip("torch installed; covered by TestTorchBackend")
-        with pytest.raises(ConfigError, match="repro-hima\\[torch\\]"):
-            TiledEngine(HiMAConfig(**SMALL_CONFIG, backend="torch"), rng=0)
+        with pytest.raises(ConfigError, match="dtype"):
+            K.NumpyDNCConfig(dtype=dtype)
 
     def test_third_party_registration(self):
-        register_backend("thirdparty", lambda config: ReferenceBackend())
+        """A registered backend serves every path by name, bitwise the
+        reference it delegates to, and leaves with its registry entry."""
+        modes = {
+            "dense": ({}, (
+                "write_scores", "read_scores",
+                "fused_erase_write_linkage_inplace", "forward_backward",
+                "read_weight_mix", "read_vectors", "argsort",
+            )),
+            "dncd": ({"distributed": True}, (
+                "stacked_write_scores", "stacked_read_scores",
+            )),
+            "sparse": ({"access_policy": "sparse", "access_top_k": 8}, (
+                "sparse_erase_write_linkage_inplace",
+                "sparse_forward_backward", "sparse_read_vectors",
+            )),
+        }
+        register_backend("counting", lambda config: CountingBackend())
         try:
-            config = HiMAConfig(**SMALL_CONFIG, backend="thirdparty")
-            engine = TiledEngine(config, rng=0)
-            out = engine.run_batch(trajectory_inputs(engine, steps=2))
-            assert np.isfinite(out).all()
+            assert "counting" in available_backends()
+            for mode, (features, expected) in modes.items():
+                config = HiMAConfig(
+                    **SMALL_CONFIG, **features, backend="counting"
+                )
+                engine = TiledEngine(config, rng=0)
+                reference = TiledEngine(
+                    config.with_features(backend="reference"), rng=0
+                )
+                inputs = trajectory_inputs(engine, steps=3)
+                out = engine.run_batch(inputs)
+                assert np.array_equal(out, reference.run_batch(inputs)), mode
+                calls = engine.backend.calls
+                assert [m for m in expected if not calls[m]] == [], mode
         finally:
-            _REGISTRY.pop("thirdparty", None)
+            _REGISTRY.pop("counting", None)
+        assert "counting" not in available_backends()
 
 
 # ---------------------------------------------------------------------------
@@ -653,34 +711,3 @@ class TestServeChurnTunedBackend:
                 assert request.done and request.error is None
                 y, state = solo.step(xs[t], state)
                 np.testing.assert_allclose(request.y, y, atol=1e-10, rtol=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Torch backend (skips cleanly when torch is absent)
-# ---------------------------------------------------------------------------
-
-
-class TestTorchBackend:
-    @pytest.fixture(autouse=True)
-    def _require_torch(self):
-        pytest.importorskip("torch")
-
-    def test_registered_when_importable(self):
-        assert "torch" in available_backends()
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_trajectory_within_tolerance(self, dtype):
-        engines = {
-            name: make_engine(name, dtype=dtype)
-            for name in ("reference", "torch")
-        }
-        inputs = trajectory_inputs(engines["reference"])
-        outs = {n: e.run_batch(inputs) for n, e in engines.items()}
-        diff = float(np.max(np.abs(outs["reference"] - outs["torch"])))
-        assert diff <= TOLERANCES[dtype]
-
-    @pytest.mark.parametrize("dtype", ["float16", "bfloat16"])
-    def test_reduced_dtype_verifies(self, dtype):
-        engine = make_engine("torch", dtype=dtype)
-        error = engine.verify_against_reference(steps=3, batch_size=4)
-        assert error <= TOLERANCES[dtype]

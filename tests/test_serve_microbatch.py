@@ -200,7 +200,14 @@ class TestSchedulingPolicy:
             server.submit(sid, rng.standard_normal(17))
         with pytest.raises(ConfigError):
             server.submit(sid, rng.standard_normal((2, 16)))
+        for bad in (np.nan, np.inf, -np.inf):
+            x = rng.standard_normal(16)
+            x[3] = bad
+            with pytest.raises(ConfigError, match="finite"):
+                server.submit(sid, x)
         assert len(server.batcher) == 0
+        # The session stays open.
+        assert server.submit(sid, rng.standard_normal(16)) is not None
 
     def test_submitted_buffer_reuse_is_safe(self, rng):
         """Clients may reuse one input buffer per step: each queued

@@ -473,6 +473,32 @@ class TestCrashRecovery:
                 )
             assert cluster.supervisor.sessions_recovered == 1
 
+    def test_non_finite_submit_refused_and_never_replayed(self):
+        # Without checkpoints recovery replays the whole log, so a NaN
+        # that reached it would poison the restored session.
+        config = proc_config()
+        xs = [np.full(8, 0.1 * (t + 1)) for t in range(6)]
+        with make_cluster(num_workers=1, checkpoint_interval=None) as cluster:
+            sid = cluster.open_session("s")
+            requests = [cluster.submit(sid, x) for x in xs[:3]]
+            cluster.drain()
+            poisoned = xs[3].copy()
+            poisoned[2] = np.nan
+            depth = cluster.supervisor.log_depth(sid)
+            with pytest.raises(ConfigError, match="finite"):
+                cluster.submit(sid, poisoned)
+            assert cluster.supervisor.log_depth(sid) == depth
+            cluster.kill_worker(0)
+            requests += [cluster.submit(sid, x) for x in xs[3:]]
+            cluster.drain()
+            assert cluster.worker_restarts == 1
+            solo = solo_trajectory(config, xs)
+            for t, request in enumerate(requests):
+                assert request.done and request.error is None
+                np.testing.assert_allclose(
+                    request.y, solo[t], atol=1e-10, rtol=0.0
+                )
+
     def test_property_random_kills_under_churn_match_solo(self):
         # The churn property drill: multi-session traffic across two
         # workers with seeded random SIGKILLs mid-stream; every session's
