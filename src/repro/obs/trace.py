@@ -4,12 +4,12 @@ One traced request through the serving stack yields a *span tree*:
 
 * ``frontend.submit`` — root, opened at :class:`~repro.serve.frontend.
   AsyncFrontend` admission, closed when the awaited reply resolves;
-* ``router.submit`` — the front door's enqueue (``ShardedServer`` /
-  ``ProcCluster``), child of the frontend span;
+* ``router.submit`` — the cluster front door's enqueue
+  (``ShardedServer``, either shard transport), child of the frontend span;
 * ``shard.submit`` — the owning :class:`~repro.serve.shard.EngineShard`
-  accepting the request (for ``ProcCluster`` this is created in the
-  *worker process*: the trace context rides the framed-RPC header, so
-  the tree crosses the process boundary);
+  accepting the request (behind a ``ProcWorker`` handle it is created in
+  the *worker process*: the trace context rides the framed-RPC header,
+  so the tree crosses the process boundary);
 * ``shard.dispatch`` — per-request span covering queueing through
   completion on the shard;
 * ``cluster.tick`` / ``shard.tick`` / ``engine.step`` /

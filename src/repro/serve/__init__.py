@@ -7,29 +7,30 @@ an engine, with per-session state resident in a slot-pinned
 capacity-bounded :class:`SessionStore`), scheduling by a
 :class:`MicroBatcher`, and the loop driven by an engine-owning worker.
 
-Two server front doors share that worker (:class:`EngineShard`):
+One engine-owning worker, :class:`EngineShard`, serves on its own as
+the single-engine :class:`SessionServer` (an alias: the same class).
+One cluster front door, :class:`ShardedServer`, routes over N shard
+handles of either transport: pluggable session placement
+(:class:`LeastLoadedPlacement` / :class:`RoundRobinPlacement` /
+:class:`ConsistentHashPlacement`) with admission spill, optional
+rebalancing (:class:`HotSpotRebalance` / :class:`QueueDepthRebalance`)
+over the checkpoint-based migration path, thread-parallel ticks, and
+exact cluster-wide metrics via :meth:`ServerMetrics.merge`.
 
-* :class:`SessionServer` — the single-engine server (the 1-shard
-  special case, API unchanged since PR 3);
-* :class:`ShardedServer` — a router + engine-shard cluster: N shards,
-  pluggable session placement (:class:`LeastLoadedPlacement` /
-  :class:`RoundRobinPlacement` / :class:`ConsistentHashPlacement`),
-  optional rebalancing (:class:`HotSpotRebalance` /
-  :class:`QueueDepthRebalance`) over the checkpoint-based migration
-  path, thread-parallel ticks, and exact cluster-wide metrics via
-  :meth:`ServerMetrics.merge`.
+* in process — the handles are :class:`EngineShard` objects;
+* in worker processes — :class:`ProcCluster` is the same front door
+  over :class:`ProcWorker` handles (length-prefixed framed RPC, one
+  failure domain per worker) with checkpoint/replay crash recovery
+  through a :class:`CheckpointSupervisor`: a SIGKILLed worker's
+  sessions are restored on a replacement process with their
+  trajectories intact.
 
-A third front door leaves the process: :class:`ProcCluster` hosts each
-shard in its own worker *process* (length-prefixed framed RPC, true
-parallel ticks, one failure domain per worker) with checkpoint/replay
-crash recovery through a :class:`CheckpointSupervisor` — a SIGKILLed
-worker's sessions are restored on a replacement process with their
-trajectories intact.  :class:`AsyncFrontend` wraps any of the three in
-an awaitable per-request asyncio API.
+:class:`AsyncFrontend` wraps any of these servers in an awaitable
+per-request asyncio API.
 
 :mod:`repro.serve.loadgen` generates deterministic open-loop traffic —
 uniform or Zipf-tenant-skewed (:func:`generate_zipf_scripts`, the
-hot-shard mix) — and replays it against any of the front doors
+hot-shard mix) — and replays it against any of these servers
 (:func:`run_open_loop`, :func:`run_rolling_restart`).  Timing the stack
 is ``perf/``'s job (``python3 perf/run.py``).
 
@@ -71,10 +72,12 @@ from repro.serve.router import (
     RebalancePolicy,
     RoundRobinPlacement,
 )
-from repro.serve.server import SessionServer
 from repro.serve.session import SessionRecord, SessionStore
 from repro.serve.shard import EngineShard
 from repro.serve.supervisor import CheckpointSupervisor
+
+#: The single-engine server is one shard served on its own.
+SessionServer = EngineShard
 
 __all__ = [
     "StateArena",

@@ -1,40 +1,40 @@
-"""Sharded multi-engine serving: a router over N engine shards.
+"""Sharded serving: one front door over N shard handles.
 
 :class:`ShardedServer` scales the serving layer horizontally the way
 HiMA-D scales memory access: partition the state and move the work to
-where the state lives.  Each :class:`~repro.serve.shard.EngineShard`
-owns a complete engine + arena + batcher and serves its resident
-sessions independently; the cluster front-end only routes — it places
-new sessions with a pluggable
-:class:`~repro.serve.router.PlacementPolicy`, forwards submits to the
-owning shard, drives every shard once per :meth:`run_tick` (optionally
-thread-parallel: shards share nothing, so concurrent ticks are
-bit-identical to sequential ones), and aggregates the per-shard
-:class:`~repro.serve.metrics.ServerMetrics` into one cluster snapshot
-via :meth:`ServerMetrics.merge`.
+where the state lives.  Each shard *handle* owns a complete engine +
+arena + batcher and serves its resident sessions independently; the
+front door only routes — it places new sessions with a pluggable
+:class:`~repro.serve.router.PlacementPolicy` (spilling a refused open
+onto the next-best shard), forwards submits to the owning shard,
+drives every shard once per :meth:`run_tick` (optionally from a thread
+pool: shards share nothing, so concurrent ticks are bit-identical to
+sequential ones), and merges the per-shard
+:class:`~repro.serve.metrics.ServerMetrics` into one cluster snapshot.
+
+A handle has two transports and one surface (``load``,
+``queue_depth``, ``capacity``, ``pending_counts``, ``p95_wait``,
+``session_ids`` and the open/submit/tick/checkpoint/detach/attach
+calls): an in-process :class:`~repro.serve.shard.EngineShard`, or a
+:class:`~repro.serve.proc.ProcWorker` that serves the same surface over
+framed RPC to an ``EngineShard`` in a worker process
+(:class:`~repro.serve.proc.ProcCluster` is this class over those).  The
+front door never branches on which one it holds.
 
 Hot spots rebalance through the checkpoint path: a
 :class:`~repro.serve.router.RebalancePolicy` plans migrations between
 ticks, and :meth:`migrate_session` moves a live session — state bytes
-(:meth:`EngineShard.detach_session`) plus its pending request FIFO —
-onto another shard with exactly one slot read and one slot write.
-Because every engine carries identical weights (enforced at
-construction) and state round-trips bitwise through
+plus its pending request FIFO — with one slot read on the source and
+one slot write on the destination.  Because every engine carries
+identical weights and state round-trips bitwise through
 :meth:`~repro.dnc.numpy_ref.NumpyDNCState.to_bytes`, a migrated
-session's post-migration trajectory is bit-identical to never having
-moved, given equal dispatch order — and any served trajectory matches
-solo unbatched stepping to <= 1e-10 exactly like the single-engine
-server (pinned in ``tests/test_serve_cluster.py``).
-
-The 1-shard cluster is behaviorally the single
-:class:`~repro.serve.server.SessionServer` (the same
-:class:`EngineShard` runs underneath), so the sharded front-end costs
-nothing when you don't shard.
+session's trajectory is bit-identical to never having moved, given
+equal dispatch order — and any served trajectory matches solo unbatched
+stepping to <= 1e-10 (pinned in ``tests/test_serve_cluster.py``).
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.core.engine import TiledEngine
 from repro.dnc.numpy_ref import NumpyDNCState
-from repro.errors import CapacityError, ConfigError
+from repro.errors import CapacityError, ConfigError, ReproError
 from repro.obs import PhaseTimer, Tracer
 from repro.serve.batcher import StepRequest
 from repro.serve.metrics import ServerMetrics
@@ -60,7 +60,7 @@ _WEIGHT_ATTRS = ("w_x", "w_h", "b", "w_if", "b_if", "w_y", "b_y")
 
 
 class ShardedServer:
-    """Route sessions across N engine shards behind one server API.
+    """Route sessions across N shard handles behind one server API.
 
     Construct from explicit ``engines`` (one per shard, identical
     config and weights — build them with the same ``HiMAConfig`` and
@@ -68,11 +68,11 @@ class ShardedServer:
     session/batching knobs are per shard: a 4-shard cluster with
     ``session_capacity=16`` holds 64 sessions total.
 
-    ``parallel=True`` drives the shards' ticks from a thread pool.
-    Shards share no state, so the results are bit-identical to
-    sequential ticking — the threads only overlap the engines' numpy
-    work on separate cores.  The pool holds
-    ``min(num_shards, cpu_count)`` workers.
+    ``parallel=True`` drives the shards' ticks from a thread pool (one
+    thread per shard).  Shards share no state, so the results are
+    bit-identical to sequential ticking — the threads only overlap the
+    engines' numpy work on separate cores, or the worker processes'
+    ticks for :class:`~repro.serve.proc.ProcCluster`.
     """
 
     def __init__(
@@ -89,7 +89,6 @@ class ShardedServer:
         placement: Optional[PlacementPolicy] = None,
         rebalance: Optional[RebalancePolicy] = None,
         parallel: bool = True,
-        admission_spill: bool = False,
         tracer: Optional[Tracer] = None,
         profile: bool = False,
     ):
@@ -106,12 +105,7 @@ class ShardedServer:
         if not engines:
             raise ConfigError("ShardedServer needs at least one engine")
         self._check_uniform_engines(engines)
-        #: Shared request tracer (``None`` = tracing off).  One ring for
-        #: the whole cluster: shard ticks append concurrently (atomic
-        #: deque appends), so the cluster's spans interleave exactly as
-        #: they completed.
-        self.tracer = tracer
-        self.shards: List[EngineShard] = [
+        shards = [
             EngineShard(
                 engine,
                 shard_id=index,
@@ -120,22 +114,32 @@ class ShardedServer:
                 queue_capacity=queue_capacity,
                 session_capacity=session_capacity,
                 session_ttl_ticks=session_ttl_ticks,
-                metrics=ServerMetrics(),
                 tracer=tracer,
                 profiler=PhaseTimer() if profile else None,
             )
             for index, engine in enumerate(engines)
         ]
+        self._init_front_door(shards, placement, rebalance, parallel, tracer)
+
+    def _init_front_door(
+        self,
+        shards: Sequence,
+        placement: Optional[PlacementPolicy],
+        rebalance: Optional[RebalancePolicy],
+        parallel: bool,
+        tracer: Optional[Tracer],
+    ) -> None:
+        self.shards = list(shards)
+        #: Shared request tracer (``None`` = tracing off).  One ring for
+        #: the whole cluster: shard ticks append concurrently (atomic
+        #: deque appends), so the cluster's spans interleave exactly as
+        #: they completed.
+        self.tracer = tracer
         self.placement = placement if placement is not None else LeastLoadedPlacement()
         self.rebalance = rebalance
         self.parallel = parallel
-        #: When the placed shard refuses an open, try the remaining
-        #: shards in next-best order before giving up.  Off by default —
-        #: strict placement (a consistent-hash tier relies on sessions
-        #: landing where the hash says) stays the historical behavior.
-        self.admission_spill = admission_spill
-        #: Front-door-local counters (admission spills); merged into
-        #: :meth:`cluster_metrics` alongside the per-shard metrics.
+        #: Front-door counters (refused opens, admission spills); merged
+        #: into :meth:`cluster_metrics` alongside the per-shard metrics.
         self.metrics = ServerMetrics()
         #: Cluster ticks driven (each drives every shard once).
         self.tick = 0
@@ -176,7 +180,7 @@ class ShardedServer:
 
     @property
     def queue_depth(self) -> int:
-        """Total queued step requests across all shards."""
+        """Submitted-but-uncompleted requests across all shards."""
         return sum(shard.queue_depth for shard in self.shards)
 
     @property
@@ -190,12 +194,22 @@ class ShardedServer:
         except KeyError:
             raise ConfigError(f"unknown session {session_id!r}") from None
 
-    def _owner(self, session_id: str) -> EngineShard:
-        return self.shards[self.shard_of(session_id)]
+    def _owner(self, session_id: str):
+        try:
+            return self.shards[self._shard_of[session_id]]
+        except KeyError:
+            raise ConfigError(f"unknown session {session_id!r}") from None
 
     # ------------------------------------------------------------------
     def open_session(self, session_id: Optional[str] = None) -> Optional[str]:
-        """Place and admit a new session; ``None`` when the shard refuses."""
+        """Place and admit a new session; ``None`` when every shard refuses.
+
+        The placement policy nominates a shard; when it refuses (full of
+        sessions with queued work), the open spills onto the remaining
+        shards in next-best ``(load, queue_depth, index)`` order.  A
+        refused open counts one admission reject here, however many
+        shards refused it.
+        """
         if session_id is None:
             while f"session-{self._session_counter}" in self._shard_of:
                 self._session_counter += 1
@@ -203,22 +217,19 @@ class ShardedServer:
             self._session_counter += 1
         elif session_id in self._shard_of:
             raise ConfigError(f"session {session_id!r} already exists")
-        first = self.placement.place(session_id, self.shards)
-        if not 0 <= first < len(self.shards):
+        shards = self.shards
+        first = self.placement.place(session_id, shards)
+        if not 0 <= first < len(shards):
             raise ConfigError(
                 f"placement policy returned shard {first}, cluster has "
-                f"{len(self.shards)}"
+                f"{len(shards)}"
             )
-        candidates = [first]
-        if self.admission_spill:
-            candidates += sorted(
-                (i for i in range(len(self.shards)) if i != first),
-                key=lambda i: (
-                    self.shards[i].load, self.shards[i].queue_depth, i
-                ),
-            )
-        for attempt, index in enumerate(candidates):
-            opened = self.shards[index].open_session(session_id)
+        spill = sorted(
+            (i for i in range(len(shards)) if i != first),
+            key=lambda i: (shards[i].load, shards[i].queue_depth, i),
+        )
+        for attempt, index in enumerate([first] + spill):
+            opened = shards[index].open_session(session_id)
             # Admission may have LRU/TTL-evicted another resident session
             # to make room — resync the routing table immediately (not
             # just at the next tick) so the victim cannot linger as a
@@ -229,6 +240,7 @@ class ShardedServer:
                     self.metrics.admission_spills += 1
                 self._shard_of[opened] = index
                 return opened
+        self.metrics.admission_rejects += 1
         return None
 
     def close_session(self, session_id: str) -> None:
@@ -263,15 +275,16 @@ class ShardedServer:
 
     # ------------------------------------------------------------------
     def session_state(self, session_id: str) -> NumpyDNCState:
-        return self._owner(session_id).session_state(session_id)
+        """Copy of a session's current recurrent state (a checkpoint read)."""
+        return NumpyDNCState.from_bytes(self.checkpoint_session(session_id))
 
     def restore_session_state(
         self, session_id: str, state: NumpyDNCState
     ) -> None:
-        self._owner(session_id).restore_session_state(session_id, state)
+        self.restore_session(session_id, state.to_bytes())
 
     def checkpoint_session(self, session_id: str) -> bytes:
-        """The owning shard's :meth:`EngineShard.checkpoint_session`."""
+        """The owning shard's ``checkpoint_session``: versioned state bytes."""
         return self._owner(session_id).checkpoint_session(session_id)
 
     def restore_session(self, session_id: str, payload: bytes) -> str:
@@ -290,12 +303,12 @@ class ShardedServer:
         """Move a live session to ``dst_shard`` mid-stream.
 
         Checkpoint bytes plus the pending request FIFO leave the source
-        (:meth:`EngineShard.detach_session`) and land on the destination
-        (:meth:`EngineShard.attach_session`): one slot read, one slot
-        write, zero failed requests, and — at equal dispatch order — a
-        bit-identical continued trajectory.  Raises
-        :class:`~repro.errors.CapacityError` when the destination is
-        full (the session stays where it was).
+        (``detach_session``) and land on the destination
+        (``attach_session``): one slot read, one slot write, zero failed
+        requests, and — at equal dispatch order — a bit-identical
+        continued trajectory.  Raises :class:`~repro.errors.CapacityError`
+        when the destination is full; if the attach itself fails, the
+        session goes back onto the source before the error propagates.
         """
         src_index = self.shard_of(session_id)
         if not 0 <= dst_shard < len(self.shards):
@@ -305,13 +318,17 @@ class ShardedServer:
             )
         if dst_shard == src_index:
             return
-        dst = self.shards[dst_shard]
-        if dst.load >= dst.store.capacity:
+        src, dst = self.shards[src_index], self.shards[dst_shard]
+        if dst.load >= dst.capacity:
             raise CapacityError(
                 f"shard {dst_shard} is full; cannot migrate {session_id!r}"
             )
-        payload, pending = self.shards[src_index].detach_session(session_id)
-        dst.attach_session(session_id, payload, pending)
+        payload, pending = src.detach_session(session_id)
+        try:
+            dst.attach_session(session_id, payload, pending)
+        except ReproError:
+            src.attach_session(session_id, payload, pending)
+            raise
         self._shard_of[session_id] = dst_shard
         self.migrations += 1
 
@@ -336,7 +353,7 @@ class ShardedServer:
         if self.parallel and len(self.shards) > 1:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=min(len(self.shards), os.cpu_count() or 1),
+                    max_workers=len(self.shards),
                     thread_name_prefix="engine-shard",
                 )
             per_shard = list(
@@ -356,17 +373,21 @@ class ShardedServer:
         self._sync_departures()
         if self.rebalance is not None:
             for session_id, src, dst in self.rebalance.plan(self.shards):
-                if self._shard_of.get(session_id) != src:
-                    continue  # plan went stale (closed/evicted/moved)
+                if (
+                    self._shard_of.get(session_id) != src
+                    or self.shards[dst].load >= self.shards[dst].capacity
+                ):
+                    continue  # plan went stale (closed/evicted/moved/full)
                 self.migrate_session(session_id, dst)
         return [request for batch in per_shard for request in batch]
 
     def _sync_departures(self) -> None:
         """Drop routing entries for sessions their shard evicted."""
+        resident = [set(shard.session_ids()) for shard in self.shards]
         stale = [
             session_id
             for session_id, index in self._shard_of.items()
-            if session_id not in self.shards[index].store
+            if session_id not in resident[index]
         ]
         for session_id in stale:
             del self._shard_of[session_id]
@@ -383,7 +404,7 @@ class ShardedServer:
         )
 
     def close(self) -> None:
-        """Shut down the tick thread pool (idempotent)."""
+        """Shut down the tick thread pool and every shard (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -412,18 +433,19 @@ class ShardedServer:
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-able cluster snapshot: merged metrics + topology."""
-        snap = self.cluster_metrics().snapshot()
+        per_shard = [shard.metrics for shard in self.shards]
+        snap = ServerMetrics.merge([self.metrics] + per_shard).snapshot()
         snap["shards"] = len(self.shards)
         snap["cluster_ticks"] = self.tick
         snap["sessions_migrated"] = self.migrations
         snap["per_shard"] = [
             {
-                "shard_id": shard.shard_id,
+                "shard_id": index,
                 "sessions": shard.load,
                 "queue_depth": shard.queue_depth,
-                "requests_completed": shard.metrics.requests_completed,
+                "requests_completed": metrics.requests_completed,
             }
-            for shard in self.shards
+            for index, (shard, metrics) in enumerate(zip(self.shards, per_shard))
         ]
         return snap
 

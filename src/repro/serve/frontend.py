@@ -3,7 +3,7 @@
 :class:`AsyncFrontend` turns the discrete-tick serving loop into the
 awaitable per-request API a network handler wants: ``await open()``,
 ``y = await submit(sid, x)``.  It wraps any server exposing the common
-surface — :class:`~repro.serve.server.SessionServer`,
+surface — :class:`~repro.serve.shard.EngineShard`,
 :class:`~repro.serve.cluster.ShardedServer`, or
 :class:`~repro.serve.proc.ProcCluster` — without caring which topology
 is underneath.

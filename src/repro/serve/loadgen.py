@@ -171,7 +171,7 @@ def run_open_loop(
     """Replay scripted sessions against a server; returns per-session results.
 
     ``server`` is anything with the serving surface — a
-    :class:`~repro.serve.server.SessionServer` /
+    :class:`~repro.serve.SessionServer` /
     :class:`~repro.serve.shard.EngineShard` or a multi-shard
     :class:`~repro.serve.cluster.ShardedServer` (``open_session`` /
     ``submit`` / ``run_tick`` / ``queue_depth`` / ``tick``).

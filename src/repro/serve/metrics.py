@@ -1,7 +1,7 @@
 """Serving observability: latency, occupancy, and admission counters.
 
 :class:`ServerMetrics` is the single metrics surface shared by the
-:class:`~repro.serve.server.SessionServer`, its
+:class:`~repro.serve.shard.EngineShard`, its
 :class:`~repro.serve.batcher.MicroBatcher`, and the
 :class:`~repro.serve.session.SessionStore`.  Latency is measured in
 *scheduler ticks* (submit tick -> completion tick), the natural unit of

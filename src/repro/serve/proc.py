@@ -1,12 +1,13 @@
-"""Process-level serving: engine shards in worker processes, crash-safe.
+"""Process-level serving: the worker-process shard transport, crash-safe.
 
-This is the production topology the ROADMAP's millions-of-users story
-needs: :class:`~repro.serve.cluster.ShardedServer`'s shards are threads
-sharing one GIL and one failure domain, while :class:`ProcCluster` hosts
-each :class:`~repro.serve.shard.EngineShard` in its own *process*
-(:class:`ProcWorker`), so shard ticks overlap on real cores and a dead
-worker takes down only its own sessions — which the cluster then
-restores on a replacement process.
+:class:`ProcCluster` is a :class:`~repro.serve.cluster.ShardedServer`
+whose shard handles are :class:`ProcWorker` objects: each hosts an
+:class:`~repro.serve.shard.EngineShard` in its own *process*, so shard
+ticks overlap on real cores and a dead worker takes down only its own
+sessions — which its handle then restores on a replacement process.
+Routing, spill, migration, tick fan-out and the metrics merges are the
+thread cluster's own code; this module adds the transport, the
+crash recovery, and the checkpoint cadence.
 
 **Wire protocol.** Parent and worker speak length-prefixed frames over a
 ``socketpair``: ``b"HP" | uint32 length | uint32 crc32 | uint64
@@ -23,12 +24,12 @@ Checkpoint payloads ride inside frames as the versioned
 :meth:`~repro.dnc.numpy_ref.NumpyDNCState.to_bytes` byte strings, the
 same host-portable format the thread cluster migrates sessions with.
 
-**Crash recovery.** The cluster pairs every worker with the
+**Crash recovery.** Every worker shares the cluster's
 :class:`~repro.serve.supervisor.CheckpointSupervisor`: workers ship
 periodic per-session checkpoints (every ``checkpoint_interval`` ticks),
 and the supervisor keeps each session's last checkpoint plus the replay
 log of inputs submitted since.  When a worker dies — SIGKILL included —
-the cluster spawns a fresh process (same config, same seed, therefore
+its handle spawns a fresh process (same config, same seed, therefore
 bit-identical weights), restores every resident session from its last
 checkpoint, and re-submits the logged inputs in order.  Checkpoint
 restoration is bitwise (wire-format contract), the engine is
@@ -38,18 +39,20 @@ vs solo stepping end-to-end whatever the batch interleaving — pinned by
 ``tests/test_serve_proc.py`` and demonstrated under traffic by the load
 generator's rolling-restart scenario.
 
-**Scheduling.** One :meth:`ProcCluster.run_tick` drives every worker's
-tick concurrently: buffered submits flush in the tick RPC (one frame per
-worker per tick), all ticks are issued before any reply is awaited, and
-completed requests come back with worker stats (load, queue depth,
-pending counts, wait p95) that feed placement, admission spill, and
-queue-depth rebalancing without extra round trips.  Admission control is
-enforced at the front door (the parent mirrors every worker's queue
-bound), so a submit refusal is synchronous even though dispatch is not.
+**Scheduling.** Opens and submits are buffered in the parent and ride
+the next frame to their worker, ahead of its command — one frame per
+worker per tick in steady state.  The cluster's tick fan-out drives the
+workers from its thread pool, so their engine steps overlap across
+processes; every reply carries the worker's completions and stats
+(pending counts, wait p95, spans, phase profile), so placement, spill
+and rebalancing cost no extra round trips.  Admission control is
+enforced in the parent (each handle mirrors its worker's queue bound),
+so a submit refusal is synchronous even though dispatch is not.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -57,25 +60,17 @@ import signal
 import socket
 import struct
 import zlib
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    CapacityError,
-    ConfigError,
-    FrameError,
-    ServeError,
-    WorkerCrashed,
-)
+from repro.errors import ConfigError, FrameError, ServeError, WorkerCrashed
 from repro.obs import FlightRecorder, PhaseTimer, Tracer
 from repro.serve.batcher import StepRequest
+from repro.serve.cluster import ShardedServer
 from repro.serve.metrics import ServerMetrics
-from repro.serve.router import (
-    LeastLoadedPlacement,
-    PlacementPolicy,
-    RebalancePolicy,
-)
+from repro.serve.router import PlacementPolicy, RebalancePolicy
 from repro.serve.supervisor import CheckpointSupervisor
 
 # ---------------------------------------------------------------------------
@@ -184,6 +179,8 @@ def read_frame(sock: socket.socket) -> object:
     return read_frame_traced(sock)[0]
 
 
+
+
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
@@ -191,12 +188,13 @@ def read_frame(sock: socket.socket) -> object:
 
 def _worker_completions(
     inflight: Dict[int, StepRequest], by_obj: Dict[int, int]
-) -> List[Tuple[int, Optional[np.ndarray], Optional[str], int, int]]:
+) -> List[Tuple[int, Optional[np.ndarray], Optional[str]]]:
     """Drain every finished request from the in-flight table.
 
     Completion is observed rather than inferred from ``run_tick``'s
     return value so that requests failed out-of-band — a session evicted
-    or closed with work queued — are reported on the very next reply.
+    or closed with work queued, a submit the worker refused — are
+    reported on the very next reply.
     """
     done = [
         (rid, request) for rid, request in inflight.items() if request.done
@@ -205,23 +203,14 @@ def _worker_completions(
     for rid, request in sorted(done):
         del inflight[rid]
         by_obj.pop(id(request), None)
-        out.append((
-            rid,
-            request.y,
-            request.error,
-            request.submitted_tick,
-            int(request.completed_tick),
-        ))
+        out.append((rid, request.y, request.error))
     return out
 
 
 def _worker_stats(shard) -> Dict[str, object]:
-    p50, p95 = shard.metrics.wait_percentiles()
     stats: Dict[str, object] = {
-        "load": shard.load,
-        "queue_depth": shard.queue_depth,
         "pending_counts": shard.pending_counts,
-        "p95_wait": p95,
+        "p95_wait": shard.p95_wait,
         "tick": shard.tick,
     }
     # Observability piggybacks on every reply: finished spans drain to
@@ -277,45 +266,45 @@ def _proc_worker_main(
 
     def submit_all(
         submits: Sequence[Tuple[int, str, np.ndarray, Optional[tuple]]]
-    ) -> List[Tuple[int, Optional[np.ndarray], Optional[str], int, int]]:
+    ) -> None:
         """Enqueue parent-admitted submits; a local refusal fails fast.
 
         Each submit carries the parent-side trace context (or ``None``),
         so the worker's ``shard.submit`` span — and the per-request
-        dispatch span after it — parent into the originating trace.
+        dispatch span after it — parent into the originating trace.  A
+        refused submit enters the in-flight table already failed, so it
+        is reported with the next successful reply.
         """
-        refused = []
         for rid, session_id, x, ctx in submits:
             try:
                 request = shard.submit(session_id, x, trace=ctx)
+                error = "worker queue refused the submit"
             except ConfigError as exc:
-                refused.append((rid, None, str(exc), shard.tick, shard.tick))
-                continue
+                request, error = None, str(exc)
             if request is None:
-                refused.append((
-                    rid, None, "worker queue refused the submit",
-                    shard.tick, shard.tick,
-                ))
-            else:
-                inflight[rid] = request
-                by_obj[id(request)] = rid
-        return refused
+                request = StepRequest(
+                    session_id=session_id, x=x, submitted_tick=shard.tick,
+                    seq=rid, completed_tick=shard.tick, error=error,
+                )
+            inflight[rid] = request
+            by_obj[id(request)] = rid
 
     def dispatch(
         msg: Dict[str, object], frame_trace: Optional[tuple] = None
     ) -> Dict[str, object]:
         cmd = msg["cmd"]
-        # Fast-path admissions ride any frame, ahead of the command
-        # proper (their submits may be in this very tick frame).  The
-        # parent only buffers an open when it counted headroom, so a
-        # refusal here is a bookkeeping bug, not a capacity condition.
+        # Buffered admissions, then buffered submits, ride any frame
+        # ahead of the command proper: a submit protects its session from
+        # eviction by this very frame's open.  The parent only buffers an
+        # open when it counted headroom, so a refusal here is a
+        # bookkeeping bug, not a capacity condition.
         for open_sid in msg.get("opens", ()):
             if shard.open_session(open_sid) is None:
                 raise ConfigError(
                     f"worker store refused pre-admitted session {open_sid!r}"
                 )
             known.add(open_sid)
-        extra: List = []
+        submit_all(msg.get("submits", ()))
         if cmd == "ping":
             ok: object = "pong"
         elif cmd == "open":
@@ -324,29 +313,22 @@ def _proc_worker_main(
             shard.close_session(msg["session_id"])
             ok = True
         elif cmd == "tick":
-            extra = submit_all(msg.get("submits", ()))
             # The parent's cluster.tick span context rides the frame
             # header, so the worker-side shard.tick span crosses the
             # process boundary into the same trace.
             shard.run_tick(trace=frame_trace)
             ok = True
-        elif cmd == "enqueue":
-            # Recovery/attach replay: queue work without advancing time.
-            extra = submit_all(msg.get("submits", ()))
-            if msg.get("drain"):
-                # Crash-recovery catch-up: replayed steps are not user
-                # traffic, so re-step them at engine speed now instead
-                # of rationing them through the tick budget — otherwise
-                # a kill storm arriving faster than one replay-step per
-                # tick per session could outpace recovery forever.
-                guard = 0
-                bound = 10 * (len(inflight) + 1)
-                while (
-                    any(not r.done for r in inflight.values())
-                    and guard < bound
-                ):
-                    shard.run_tick()
-                    guard += 1
+        elif cmd == "replay":
+            # Crash-recovery catch-up: replayed steps are not user
+            # traffic, so re-step them at engine speed now instead of
+            # rationing them through the tick budget — otherwise a kill
+            # storm arriving faster than one replay-step per tick per
+            # session could outpace recovery forever.
+            guard = 0
+            bound = 10 * (len(inflight) + 1)
+            while any(not r.done for r in inflight.values()) and guard < bound:
+                shard.run_tick()
+                guard += 1
             ok = True
         elif cmd == "checkpoint":
             session_id = msg["session_id"]
@@ -357,18 +339,15 @@ def _proc_worker_main(
             # Dirty-only: serializing a full DNC state per resident
             # session per round would dominate the tick at scale, and
             # an unchanged session's checkpoint is already upstream.
-            # The parent may further narrow the round to the sessions
-            # whose replay logs are worth truncating ("sessions").
+            # The parent narrows the round to the sessions whose replay
+            # logs are worth truncating ("sessions").
             resident = set(shard.store.ids())
             for stale in set(ckpt_steps) - resident:
                 del ckpt_steps[stale]
-            wanted = msg.get("sessions")
-            targets = (
-                resident if wanted is None
-                else [s for s in wanted if s in resident]
-            )
             ok = {}
-            for session_id in targets:
+            for session_id in msg["sessions"]:
+                if session_id not in resident:
+                    continue
                 steps = shard.store.get(session_id).steps_completed
                 if ckpt_steps.get(session_id) == steps:
                     continue
@@ -377,35 +356,33 @@ def _proc_worker_main(
                     shard.checkpoint_session(session_id), steps
                 )
         elif cmd == "restore":
-            shard.restore_session(msg["session_id"], msg["payload"])
-            ok = True
+            session_id = msg["session_id"]
+            shard.restore_session(session_id, msg["payload"])
+            ok = shard.store.get(session_id).steps_completed
         elif cmd == "detach":
             session_id = msg["session_id"]
             steps = shard.store.get(session_id).steps_completed
             payload, pending = shard.detach_session(session_id)
-            moved = []
-            for request in pending:
-                rid = by_obj.pop(id(request), None)
-                if rid is not None:
-                    del inflight[rid]
-                moved.append((rid, request.x, request.submitted_tick))
+            rids = [by_obj.pop(id(request)) for request in pending]
+            for rid in rids:
+                del inflight[rid]
             # A detach is a parent-initiated handoff, not an eviction:
             # drop it from ``known`` so it is not reported as departed
             # (which would make the parent forget the migrating session).
             known.discard(session_id)
-            ok = (payload, moved, steps)
+            ok = (payload, rids, steps)
         elif cmd == "attach":
-            pending = []
-            for rid, x, submitted_tick in msg.get("pending", ()):
-                request = StepRequest(
+            pending = [
+                StepRequest(
                     session_id=msg["session_id"], x=x,
                     submitted_tick=submitted_tick, seq=0,
                 )
-                if rid is not None:
-                    inflight[rid] = request
-                    by_obj[id(request)] = rid
-                pending.append(request)
+                for _rid, x, submitted_tick in msg["pending"]
+            ]
             shard.attach_session(msg["session_id"], msg["payload"], pending)
+            for (rid, _x, _t), request in zip(msg["pending"], pending):
+                inflight[rid] = request
+                by_obj[id(request)] = rid
             ok = True
         elif cmd == "metrics":
             ok = shard.metrics.to_state()
@@ -413,13 +390,12 @@ def _proc_worker_main(
             ok = True
         else:
             raise ConfigError(f"unknown worker command {cmd!r}")
-        completed = extra + _worker_completions(inflight, by_obj)
         departed = sorted(known - set(shard.store.ids()))
         known.clear()
         known.update(shard.store.ids())
         return {
             "ok": ok,
-            "completed": completed,
+            "completed": _worker_completions(inflight, by_obj),
             "departed": departed,
             "stats": _worker_stats(shard),
         }
@@ -435,12 +411,7 @@ def _proc_worker_main(
             # Completions are NOT drained on the error path: the parent
             # raises before folding an error reply in, so anything done
             # stays queued here and rides the next successful reply.
-            reply = {
-                "error": f"{type(exc).__name__}: {exc}",
-                "completed": [],
-                "departed": [],
-                "stats": _worker_stats(shard),
-            }
+            reply = {"error": f"{type(exc).__name__}: {exc}"}
         try:
             write_frame(sock, reply)
         except OSError:
@@ -450,15 +421,30 @@ def _proc_worker_main(
             return
 
 
-class ProcWorker:
-    """Parent-side handle on one engine-shard worker process.
+# ---------------------------------------------------------------------------
+# The shard handle
+# ---------------------------------------------------------------------------
 
-    Wraps the framed-RPC connection plus the per-worker stats cache the
-    cluster's placement and rebalance policies read (refreshed from
-    every reply, so policy decisions cost no extra round trips).  Any
-    transport failure — EOF, reset, a reply timing out — surfaces as
-    :class:`~repro.errors.WorkerCrashed`; a worker that times out is
-    killed first, so recovery never races a wedged process.
+
+class ProcWorker:
+    """Shard handle on one engine-shard worker process.
+
+    Serves the :class:`~repro.serve.shard.EngineShard` handle surface
+    over framed RPC, so :class:`~repro.serve.cluster.ShardedServer`
+    routes to it, ticks it and migrates to and from it exactly as it
+    does an in-process shard.  ``submit`` returns a parent-side
+    :class:`StepRequest` *mirror*, completed when the worker reports the
+    step; opens and submits are buffered here and ride the next frame to
+    the worker, ahead of its command.
+
+    The handle owns everything about its worker: the process and
+    socket, the buffers, the in-flight mirrors, and each resident
+    session's base step (the supervisor step index of step 0 on the
+    current process).  Any transport failure — EOF, reset, a reply
+    timing out — surfaces as :class:`~repro.errors.WorkerCrashed` (a
+    worker that times out is killed first, so recovery never races a
+    wedged process); every surface call then recovers the
+    worker from the shared ``supervisor`` and retries once.
     """
 
     def __init__(
@@ -467,31 +453,68 @@ class ProcWorker:
         config,
         seed,
         shard_kwargs: Dict[str, object],
-        rpc_timeout: float = 60.0,
+        rpc_timeout: float,
+        *,
+        supervisor: CheckpointSupervisor,
+        tracer: Optional[Tracer],
+        flight: Optional[FlightRecorder],
+        seq: "itertools.count",
     ):
         self.index = index
+        self.config = config
+        self.seed = seed
+        self._shard_kwargs = dict(shard_kwargs)
         self.capacity = int(shard_kwargs["session_capacity"])
+        self.queue_capacity = int(shard_kwargs["queue_capacity"])
         self.rpc_timeout = rpc_timeout
+        #: The cluster's shared checkpoints and replay logs.
+        self.supervisor = supervisor
+        #: Parent-side span collector; worker spans are adopted into it
+        #: from every reply, so one traced request's tree spans processes.
+        self.tracer = tracer
+        self.flight = flight
+        #: Mirror ``seq`` source, shared across a cluster's handles so a
+        #: cluster can return completions in submit order.
+        self._seq = seq
+        #: Parent-side counters (submits refused at the queue bound,
+        #: respawns), merged into :attr:`metrics`.
+        self.parent_metrics = ServerMetrics()
+        #: Replacement processes spawned after a crash.
+        self.restarts = 0
+        #: Ticks this handle was driven (the cluster's clock).
+        self.tick = 0
+        #: Stats mirrored from the worker's latest reply.
+        self.pending_counts: Dict[str, int] = {}
+        self.p95_wait: Optional[float] = None
+        self._worker_tick = 0
+        self._phase: Dict[str, Dict[str, float]] = {}
+        #: Resident session -> base step, least recently active first.
+        self._sessions: "OrderedDict[str, int]" = OrderedDict()
+        #: rid -> (mirror, supervisor step index), buffered ones included.
+        self._inflight: Dict[int, Tuple[StepRequest, int]] = {}
+        self._rid_counter = 0
+        self._opens: List[str] = []
+        self._buffer: List[Tuple[int, str, np.ndarray, Optional[tuple]]] = []
+        self._completed: List[StepRequest] = []
+        self._spawn()
+
+    def _spawn(self) -> None:
         # fork (not spawn): the child inherits the socketpair fd and the
-        # already-imported numpy/repro modules; workers are spawned from
-        # the cluster constructor, before any tick threads exist.
+        # already-imported numpy/repro modules.
         ctx = multiprocessing.get_context("fork")
         self.sock, child_sock = socket.socketpair()
         self.process = ctx.Process(
             target=_proc_worker_main,
-            args=(child_sock, config, seed, index, dict(shard_kwargs)),
+            args=(child_sock, self.config, self.seed, self.index,
+                  self._shard_kwargs),
             daemon=True,
-            name=f"engine-shard-proc-{index}",
+            name=f"engine-shard-proc-{self.index}",
         )
         self.process.start()
         child_sock.close()
-        self.sock.settimeout(rpc_timeout)
-        #: Stats cache from the latest reply (see ``_worker_stats``).
-        self.load = 0
-        self.queue_depth = 0
-        self.pending_counts: Dict[str, int] = {}
-        self.p95_wait: Optional[float] = None
+        self.sock.settimeout(self.rpc_timeout)
 
+    # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -500,14 +523,48 @@ class ProcWorker:
     def pid(self) -> int:
         return int(self.process.pid)
 
+    @property
+    def load(self) -> int:
+        """Resident sessions (buffered opens included)."""
+        return len(self._sessions)
+
+    @property
+    def queue_depth(self) -> int:
+        """Submitted-but-uncompleted requests (buffered ones included)."""
+        return len(self._inflight)
+
+    def session_ids(self) -> List[str]:
+        """Resident session ids, least recently active first (kept from
+        the completions every reply carries)."""
+        return list(self._sessions)
+
+    def phase_stats(self) -> Dict[str, Dict[str, float]]:
+        """The worker's cumulative per-phase profile from its latest
+        reply (reset on respawn — the dead process's history is gone)."""
+        return self._phase
+
+    @property
+    def metrics(self) -> ServerMetrics:
+        """The worker's metrics (one RPC) plus the parent-side counters.
+
+        A restarted worker reports metrics from its respawn onward, and
+        replayed steps are counted again by the worker that recomputed
+        them — work actually performed, the honest accounting under
+        restarts.
+        """
+        state = self._call({"cmd": "metrics"})["ok"]
+        return ServerMetrics.merge(
+            [self.parent_metrics, ServerMetrics.from_state(state)]
+        )
+
+    # ------------------------------------------------------------------
     def send(
         self,
         message: Dict[str, object],
         trace: Optional[Tuple[int, int]] = None,
     ) -> None:
-        """Write one request frame (no reply yet) — the cluster's tick
-        fan-out sends to every worker before reading any reply.
-        ``trace`` rides the frame header (see :func:`write_frame`)."""
+        """Write one request frame (no reply yet); ``trace`` rides the
+        frame header (see :func:`write_frame`)."""
         try:
             write_frame(self.sock, message, trace=trace)
         except socket.timeout as exc:
@@ -540,16 +597,8 @@ class ProcWorker:
             raise WorkerCrashed(
                 f"worker {self.index} connection failed on {cmd!r}: {exc}"
             ) from exc
-        stats = reply.get("stats")
-        if isinstance(stats, dict):
-            self.load = int(stats.get("load", self.load))
-            self.queue_depth = int(stats.get("queue_depth", self.queue_depth))
-            self.pending_counts = dict(stats.get("pending_counts", {}))
-            self.p95_wait = stats.get("p95_wait")
         if reply.get("error") is not None:
-            raise ServeError(
-                f"worker {self.index}: {reply['error']}"
-            )
+            raise ServeError(f"worker {self.index}: {reply['error']}")
         return reply
 
     def call(
@@ -561,6 +610,299 @@ class ProcWorker:
         self.send(message, trace=trace)
         return self.recv_reply(message.get("cmd"))
 
+    def _rpc(
+        self,
+        message: Dict[str, object],
+        trace: Optional[Tuple[int, int]] = None,
+    ) -> Dict[str, object]:
+        """One round trip carrying the buffered opens and submits ahead
+        of the command; the reply is folded in before it is returned."""
+        if self._opens:
+            message["opens"], self._opens = self._opens, []
+        if self._buffer:
+            message["submits"], self._buffer = self._buffer, []
+        reply = self.call(message, trace=trace)
+        self._fold(reply)
+        return reply
+
+    def _call(
+        self,
+        message: Dict[str, object],
+        trace: Optional[Tuple[int, int]] = None,
+    ) -> Dict[str, object]:
+        """:meth:`_rpc`; after a crash, :meth:`recover` and retry once
+        (the buffers the failed frame carried are rebuilt by the
+        recovery's replay, so the retry sends the command alone)."""
+        try:
+            return self._rpc(dict(message), trace)
+        except WorkerCrashed:
+            self.recover()
+            return self._rpc(dict(message), trace)
+
+    def _fold(self, reply: Dict[str, object]) -> None:
+        """Fold a reply's stats, spans, completions and departures into
+        the mirrors, the tracer and the flight recorder."""
+        stats = reply["stats"]
+        self.pending_counts = stats["pending_counts"]
+        self.p95_wait = stats["p95_wait"]
+        self._worker_tick = stats["tick"]
+        spans = stats.get("spans")
+        phase = stats.get("phase")
+        if phase is not None:
+            self._phase = phase
+        if spans and self.tracer is not None:
+            self.tracer.adopt(spans)
+        if spans and self.flight is not None:
+            self.flight.record(self.index, self._worker_tick, spans, phase)
+        for rid, y, error in reply["completed"]:
+            entry = self._inflight.pop(rid, None)
+            if entry is None:
+                continue
+            mirror = entry[0]
+            mirror.y, mirror.error = y, error
+            mirror.completed_tick = self.tick
+            if error is None and mirror.session_id in self._sessions:
+                self._sessions.move_to_end(mirror.session_id)
+            # Replay ghosts (seq -1) recompute steps already delivered
+            # before a crash: resolved, never handed out a second time.
+            if mirror.seq >= 0:
+                self._completed.append(mirror)
+        for session_id in reply["departed"]:
+            self._forget(session_id)
+
+    def _forget(self, session_id: str) -> None:
+        self._sessions.pop(session_id, None)
+        self.supervisor.on_close(session_id)
+
+    def _track(self, mirror: StepRequest, step: int) -> int:
+        rid = self._rid_counter
+        self._rid_counter += 1
+        self._inflight[rid] = (mirror, step)
+        return rid
+
+    # ------------------------------------------------------------------
+    def open_session(self, session_id: str) -> Optional[str]:
+        """Admit ``session_id``; ``None`` when the worker refuses.
+
+        The parent's session table is a superset of the worker's store
+        (departures arrive with reply lag, buffered opens count here
+        first), so with headroom here the worker is guaranteed to admit:
+        the open rides the next frame, no RPC.  Otherwise one ``open``
+        RPC decides — after the buffered submits, which protect their
+        sessions from its eviction.
+        """
+        if len(self._sessions) < self.capacity:
+            self._opens.append(session_id)
+        elif self._call({"cmd": "open", "session_id": session_id})["ok"] is None:
+            return None
+        self._sessions[session_id] = 0
+        self.supervisor.on_open(session_id)
+        return session_id
+
+    def close_session(self, session_id: str) -> None:
+        """Drop a session; its queued requests fail with an error."""
+        self._call({"cmd": "close", "session_id": session_id})
+        self._forget(session_id)
+
+    def submit(
+        self,
+        session_id: str,
+        x: np.ndarray,
+        trace: Optional[tuple] = None,
+    ) -> Optional[StepRequest]:
+        """Queue one timestep; returns its mirror, or ``None`` when the
+        worker's queue bound is reached (backpressure).
+
+        Admission is checked here, synchronously, against this handle's
+        own in-flight count (it mirrors the worker's bound exactly, so
+        the refusal semantics match the in-process shard).  ``trace``
+        ships to the worker with the buffered submit, so the worker-side
+        spans join the same trace.
+        """
+        if session_id not in self._sessions:
+            raise ConfigError(f"unknown session {session_id!r}")
+        x = np.asarray(x)
+        input_size = self.config.word_size
+        if x.shape != (input_size,):
+            raise ConfigError(
+                f"submit expects x of shape ({input_size},), got {x.shape}"
+            )
+        # Before the replay log: a refused input must never be replayed.
+        if not np.isfinite(x).all():
+            raise ConfigError("submit expects a finite x, got NaN or inf")
+        if len(self._inflight) >= self.queue_capacity:
+            self.parent_metrics.admission_rejects += 1
+            return None
+        step = self.supervisor.on_submit(session_id, x)
+        ctx = tuple(trace) if trace is not None else None
+        mirror = StepRequest(
+            session_id=session_id,
+            x=np.array(x, copy=True),
+            submitted_tick=self.tick,
+            seq=next(self._seq),
+            trace=ctx,
+        )
+        rid = self._track(mirror, step)
+        self._buffer.append((rid, session_id, mirror.x, ctx))
+        return mirror
+
+    def run_tick(self, trace: Optional[tuple] = None) -> List[StepRequest]:
+        """Drive the worker one tick; returns the mirrors completed since
+        the last call (including any resolved on other replies).
+
+        With nothing in flight the tick RPC is skipped: it could only
+        burn a round trip.  An idle worker's local clock (and therefore
+        its session-TTL expiry) thus only advances on active ticks —
+        capacity pressure still evicts via LRU on open.
+        """
+        if self._inflight:
+            self._call({"cmd": "tick"}, trace=trace)
+        self.tick += 1
+        completed, self._completed = self._completed, []
+        return completed
+
+    def checkpoint_session(self, session_id: str) -> bytes:
+        """One session's current state as checkpoint bytes (also a fresh
+        supervisor baseline, so recovery points advance)."""
+        payload, steps = self._call(
+            {"cmd": "checkpoint", "session_id": session_id}
+        )["ok"]
+        self.supervisor.on_checkpoint(
+            session_id, payload, self._sessions[session_id] + steps
+        )
+        return payload
+
+    def checkpoint_all(self, min_log: int = 0) -> int:
+        """Checkpoint every session whose replay log holds at least
+        ``min_log`` steps (and at least one); returns the count.  With
+        no session over the bar the round costs no RPC."""
+        depths = {s: self.supervisor.log_depth(s) for s in self._sessions}
+        wanted = [s for s, depth in depths.items() if depth and depth >= min_log]
+        if not wanted:
+            return 0
+        shipped = self._call({"cmd": "checkpoint_all", "sessions": wanted})
+        count = 0
+        for session_id, (payload, steps) in shipped["ok"].items():
+            if session_id in self._sessions:
+                self.supervisor.on_checkpoint(
+                    session_id, payload, self._sessions[session_id] + steps
+                )
+                count += 1
+        return count
+
+    def restore_session(self, session_id: str, payload: bytes) -> str:
+        """Restore checkpoint bytes into ``session_id``, admitting it
+        first when it is new (its supervisor baseline is the payload)."""
+        steps = self._call({
+            "cmd": "restore", "session_id": session_id, "payload": payload,
+        })["ok"]
+        if session_id in self._sessions:
+            self.supervisor.on_checkpoint(
+                session_id, payload, self._sessions[session_id] + steps
+            )
+        else:
+            self._sessions[session_id] = 0
+            self.supervisor.on_restore(session_id, payload)
+        return session_id
+
+    def detach_session(
+        self, session_id: str
+    ) -> Tuple[bytes, List[StepRequest]]:
+        """Remove a live session for migration: ``(checkpoint bytes,
+        pending mirrors)``.  The bytes double as the session's fresh
+        supervisor baseline, so the pending mirrors are exactly the
+        logged steps after it, in order."""
+        payload, rids, steps = self._call(
+            {"cmd": "detach", "session_id": session_id}
+        )["ok"]
+        base = self._sessions.pop(session_id) + steps
+        self.supervisor.on_checkpoint(session_id, payload, base)
+        return payload, [self._inflight.pop(rid)[0] for rid in rids]
+
+    def attach_session(
+        self,
+        session_id: str,
+        payload: bytes,
+        pending: Sequence[StepRequest] = (),
+    ) -> None:
+        """Adopt a session detached from another handle of the cluster.
+
+        The pending mirrors keep their identity and age (submit ticks
+        are translated onto this worker's clock) under fresh rids.
+        """
+        base = self.supervisor.checkpoint_steps(session_id)
+        first = self._rid_counter
+        self._rid_counter += len(pending)
+        wire = [
+            (first + i, mirror.x,
+             self._worker_tick - (self.tick - mirror.submitted_tick))
+            for i, mirror in enumerate(pending)
+        ]
+        self._call({
+            "cmd": "attach", "session_id": session_id, "payload": payload,
+            "pending": wire,
+        })
+        for i, mirror in enumerate(pending):
+            self._inflight[first + i] = (mirror, base + i)
+        self._sessions[session_id] = base
+
+    # ------------------------------------------------------------------
+    def recover(self) -> None:
+        """Respawn the worker process and rebuild every resident session.
+
+        Each session is rebuilt from the supervisor's plan: restore the
+        last checkpoint (or re-open fresh when none exists) and
+        re-submit the logged inputs in order.  Pending steps keep their
+        original mirrors — client-held requests complete normally after
+        the restart; already-delivered steps replay as ghosts.
+        """
+        self.kill()
+        self.sock.close()
+        if self.flight is not None:
+            # Hand the dead worker's last-K tick history (spans + phase
+            # stats) to the supervisor before anything overwrites it —
+            # the postmortem a crash investigation starts from.
+            self.supervisor.on_worker_death(
+                self.index, self.flight.dump(self.index)
+            )
+            self.flight.clear(self.index)
+        self._phase = {}
+        self._spawn()
+        self.restarts += 1
+        self.parent_metrics.worker_restarts += 1
+        # Buffered opens and submits died with the frame that carried
+        # them; their sessions and logged inputs are rebuilt below.
+        # Replay submits are untraced: the original request's spans were
+        # already recorded (or died with the worker's ring).
+        self._opens, self._buffer = [], []
+        rid_of = {
+            (mirror.session_id, step): rid
+            for rid, (mirror, step) in self._inflight.items()
+        }
+        for session_id in list(self._sessions):
+            payload, replay = self.supervisor.recovery_plan(session_id)
+            if payload is None:
+                self._opens.append(session_id)
+                self._sessions[session_id] = 0
+            else:
+                self._rpc({
+                    "cmd": "restore", "session_id": session_id,
+                    "payload": payload,
+                })
+                self._sessions[session_id] = (
+                    self.supervisor.checkpoint_steps(session_id)
+                )
+            for step, x in replay:
+                rid = rid_of.get((session_id, step))
+                if rid is None:
+                    ghost = StepRequest(
+                        session_id=session_id, x=x,
+                        submitted_tick=self.tick, seq=-1,
+                    )
+                    rid = self._track(ghost, step)
+                self._buffer.append((rid, session_id, x, None))
+        self._rpc({"cmd": "replay"})
+
     def kill(self) -> None:
         """SIGKILL the worker process (the crash-drill primitive)."""
         if self.process.is_alive():
@@ -568,13 +910,14 @@ class ProcWorker:
         self.process.join()
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop the worker cleanly; escalate to SIGKILL if it lingers."""
+        """Stop the worker cleanly; escalate to SIGKILL if it lingers
+        (idempotent)."""
         if self.process.is_alive():
             try:
                 self.sock.settimeout(timeout)
                 write_frame(self.sock, {"cmd": "stop"})
                 read_frame(self.sock)
-            except (OSError, EOFError, FrameError, WorkerCrashed):
+            except (OSError, EOFError, FrameError):
                 pass
             self.process.join(timeout)
             if self.process.is_alive():
@@ -583,28 +926,28 @@ class ProcWorker:
             self.process.join()
         self.sock.close()
 
+    def __del__(self):  # last resort: never leak a child process
+        try:
+            self.close()
+        except Exception:
+            pass
+
 
 # ---------------------------------------------------------------------------
 # The process cluster
 # ---------------------------------------------------------------------------
 
 
-class ProcCluster:
-    """Worker-process shards behind the ShardedServer serving surface.
+class ProcCluster(ShardedServer):
+    """A :class:`~repro.serve.cluster.ShardedServer` over worker processes.
 
     Construct from one ``(config, seed)`` pair — every worker builds its
     :class:`~repro.core.engine.TiledEngine` from exactly these, so all
     shards carry bit-identical weights (the thread cluster enforces the
     same invariant by comparing arrays; here it holds by construction,
     which is also what makes a *replacement* worker's engine exact).
-
-    The serving surface matches :class:`ShardedServer` — ``open_session``
-    / ``submit`` / ``run_tick`` / ``drain`` / ``close`` plus checkpoint,
-    restore, and migration — so :func:`repro.serve.loadgen.run_open_loop`
-    and the async front door drive either interchangeably.  ``submit``
-    returns a parent-side :class:`StepRequest` mirror completed when the
-    owning worker reports the step (same object contract as the
-    in-process servers).
+    Every other call is the thread cluster's; ``run_tick`` additionally
+    returns completions in submit order.
 
     Fault tolerance: ``checkpoint_interval`` cluster ticks between
     checkpoint rounds (``None`` disables the cadence; recovery then
@@ -635,7 +978,6 @@ class ProcCluster:
         checkpoint_interval: Optional[int] = 16,
         checkpoint_min_log: int = 8,
         rpc_timeout: float = 60.0,
-        admission_spill: bool = True,
         tracer: Optional[Tracer] = None,
         profile: bool = False,
         flight_recorder: int = 0,
@@ -655,390 +997,69 @@ class ProcCluster:
             raise ConfigError(
                 f"flight_recorder must be >= 0, got {flight_recorder}"
             )
-        self.config = config
-        self.seed = seed
-        #: Parent-side span collector; worker spans are adopted into it
-        #: from every reply, so one traced request's tree spans processes.
-        self.tracer = tracer
-        self.profile = profile
+        self.checkpoint_interval = checkpoint_interval
+        self.checkpoint_min_log = checkpoint_min_log
+        self.supervisor = CheckpointSupervisor()
         #: Last-K tick history per worker (spans + phase stats), dumped
         #: into the supervisor's postmortems when a worker dies.
         self.flight = (
             FlightRecorder(flight_recorder) if flight_recorder > 0 else None
         )
-        # Workers trace whenever anything consumes their spans: a parent
-        # tracer wants the distributed tree, a flight recorder wants the
-        # last-K history even with no tracer attached.
-        trace_enabled = tracer is not None or flight_recorder > 0
-        self._shard_kwargs: Dict[str, object] = dict(
+        shard_kwargs: Dict[str, object] = dict(
             max_batch=max_batch,
             max_wait_ticks=max_wait_ticks,
             queue_capacity=queue_capacity,
             session_capacity=session_capacity,
             session_ttl_ticks=session_ttl_ticks,
-            obs_trace=trace_enabled,
+            # Workers trace whenever anything consumes their spans: a
+            # parent tracer wants the distributed tree, a flight
+            # recorder the last-K history even with no tracer attached.
+            obs_trace=tracer is not None or flight_recorder > 0,
             obs_profile=profile,
         )
-        self.queue_capacity = queue_capacity
-        self.session_capacity = session_capacity
-        self.rpc_timeout = rpc_timeout
-        self.checkpoint_interval = checkpoint_interval
-        self.checkpoint_min_log = checkpoint_min_log
-        self.admission_spill = admission_spill
-        self.placement = placement if placement is not None else LeastLoadedPlacement()
-        self.rebalance = rebalance
-        self.supervisor = CheckpointSupervisor()
-        #: Front-door-local counters (worker restarts, spills, parent-side
-        #: admission rejects); merged with worker metrics in snapshots.
-        self.metrics = ServerMetrics()
-        self.workers: List[ProcWorker] = [
-            self._spawn(index) for index in range(num_workers)
+        seq = itertools.count()
+        # Workers fork here, before the tick fan-out's threads exist.
+        workers = [
+            ProcWorker(
+                index, config, seed, shard_kwargs, rpc_timeout,
+                supervisor=self.supervisor, tracer=tracer,
+                flight=self.flight, seq=seq,
+            )
+            for index in range(num_workers)
         ]
-        self.restarts: List[int] = [0] * num_workers
-        self.tick = 0
-        self.migrations = 0
-        self._closed = False
-        self._shard_of: Dict[str, int] = {}
-        #: Parent step index corresponding to each session's step 0 on
-        #: its *current* worker (shifts on recovery-restore and attach).
-        self._base_steps: Dict[str, int] = {}
-        self._session_counter = 0
-        self._rid_counter = 0
-        self._mirrors: Dict[int, StepRequest] = {}
-        #: rid -> (session id, supervisor step index, worker index)
-        self._rid_info: Dict[int, Tuple[str, int, int]] = {}
-        #: session id -> {supervisor step index -> rid} for inflight steps
-        self._inflight_rids: Dict[str, Dict[int, int]] = {}
-        #: Replay-ghost rids: recomputed steps whose results were already
-        #: delivered before a crash; excluded from run_tick's return.
-        self._ghosts: Set[int] = set()
-        #: Mirrors resolved since the last run_tick returned (run_tick
-        #: drains this — completions can also arrive on open/close/
-        #: checkpoint replies, and none may be dropped).
-        self._completed_stash: List[StepRequest] = []
-        self._buffers: List[
-            List[Tuple[int, str, np.ndarray, Optional[tuple]]]
-        ] = [[] for _ in range(num_workers)]
-        #: Fast-path admitted sessions not yet announced to their worker;
-        #: flushed with the next frame to that worker (any command).
-        self._pending_opens: List[List[str]] = [[] for _ in range(num_workers)]
-        self._worker_inflight: List[int] = [0] * num_workers
-        #: Oldest-first router.submit contexts of traced requests not yet
-        #: dispatched: the next cluster tick parents its span on the
-        #: oldest one, attributing the tick to the request it serves.
-        self._pending_traces: List[tuple] = []
-        #: Latest cumulative per-phase profile reported by each worker
-        #: (reset on respawn — the dead process's history is gone).
-        self._worker_phase: List[Dict[str, Dict[str, float]]] = [
-            {} for _ in range(num_workers)
-        ]
+        # The shards are built here, not from engines: skip the engine
+        # checks of ShardedServer.__init__ and set up the front door.
+        self._init_front_door(workers, placement, rebalance, True, tracer)
 
-    def _spawn(self, index: int) -> ProcWorker:
-        return ProcWorker(
-            index, self.config, self.seed, self._shard_kwargs,
-            rpc_timeout=self.rpc_timeout,
-        )
+    @property
+    def workers(self) -> List[ProcWorker]:
+        return self.shards
 
-    # ------------------------------------------------------------------
     @property
     def num_workers(self) -> int:
-        return len(self.workers)
-
-    @property
-    def queue_depth(self) -> int:
-        """Submitted-but-uncompleted requests across the cluster."""
-        return sum(self._worker_inflight)
-
-    @property
-    def session_count(self) -> int:
-        return len(self._shard_of)
+        return len(self.shards)
 
     @property
     def worker_restarts(self) -> int:
-        return sum(self.restarts)
+        return sum(worker.restarts for worker in self.shards)
 
-    def shard_of(self, session_id: str) -> int:
-        try:
-            return self._shard_of[session_id]
-        except KeyError:
-            raise ConfigError(f"unknown session {session_id!r}") from None
+    def kill_worker(self, index: int) -> None:
+        """SIGKILL a worker (crash drill); recovery runs on next contact."""
+        self.shards[index].kill()
 
-    # ------------------------------------------------------------------
-    def _process_reply(self, index: int, reply: Dict[str, object]) -> None:
-        """Fold a worker reply's completions and departures into the
-        parent's mirrors, logs, and routing table — and its spans and
-        phase profile into the parent's tracer and flight recorder."""
-        stats = reply.get("stats")
-        if isinstance(stats, dict):
-            spans = stats.get("spans") or []
-            phase = stats.get("phase")
-            if phase is not None:
-                self._worker_phase[index] = phase
-            if spans and self.tracer is not None:
-                self.tracer.adopt(spans)
-            if self.flight is not None and spans:
-                self.flight.record(
-                    index, int(stats.get("tick", 0)), spans, phase
-                )
-        for rid, y, error, submitted_tick, completed_tick in reply.get(
-            "completed", ()
-        ):
-            info = self._rid_info.pop(rid, None)
-            if info is None:
-                continue
-            session_id, step, worker_index = info
-            steps = self._inflight_rids.get(session_id)
-            if steps is not None and steps.get(step) == rid:
-                del steps[step]
-            self._worker_inflight[worker_index] -= 1
-            mirror = self._mirrors.pop(rid, None)
-            if mirror is not None:
-                mirror.y = y
-                mirror.error = error
-                mirror.completed_tick = self.tick
-                if rid in self._ghosts:
-                    # A replayed, already-delivered step: recomputed to
-                    # rebuild state, never handed out a second time.
-                    self._ghosts.discard(rid)
-                else:
-                    self._completed_stash.append(mirror)
-        for session_id in reply.get("departed", ()):
-            self._forget_session(session_id)
+    def _recover_worker(self, index: int) -> None:
+        self.shards[index].recover()
 
-    def _forget_session(self, session_id: str) -> None:
-        self._shard_of.pop(session_id, None)
-        self._base_steps.pop(session_id, None)
-        self._inflight_rids.pop(session_id, None)
-        self.supervisor.on_close(session_id)
-
-    def _attach_opens(self, index: int, message: Dict[str, object]) -> None:
-        """Piggyback any fast-path-admitted opens on this frame (the
-        worker processes ``opens`` before the command proper)."""
-        if self._pending_opens[index]:
-            message["opens"] = self._pending_opens[index]
-            self._pending_opens[index] = []
-
-    def _rpc(self, index: int, message: Dict[str, object]) -> Dict[str, object]:
-        """One RPC with reply bookkeeping; crashes propagate to callers
-        (each call site owns its recovery strategy)."""
-        self._attach_opens(index, message)
-        reply = self.workers[index].call(message)
-        self._process_reply(index, reply)
-        return reply
-
-    # ------------------------------------------------------------------
-    def open_session(self, session_id: Optional[str] = None) -> Optional[str]:
-        """Place and admit a new session; spill on refusal when enabled.
-
-        The placement policy nominates a worker from cached stats; if
-        that worker refuses (capacity) and ``admission_spill`` is on,
-        the open is retried on the remaining workers in next-best order
-        (fewest sessions, shallowest queue) before giving up — a full
-        shard no longer turns away traffic the cluster still has room
-        for.  Returns the session id, or ``None`` when every candidate
-        refused.
-        """
-        if session_id is None:
-            while f"session-{self._session_counter}" in self._shard_of:
-                self._session_counter += 1
-            session_id = f"session-{self._session_counter}"
-            self._session_counter += 1
-        elif session_id in self._shard_of:
-            raise ConfigError(f"session {session_id!r} already exists")
-        first = self.placement.place(session_id, self.workers)
-        if not 0 <= first < len(self.workers):
-            raise ConfigError(
-                f"placement policy returned worker {first}, cluster has "
-                f"{len(self.workers)}"
-            )
-        # Fast path: the parent's routing table is a superset of every
-        # worker's store (departures arrive with reply lag, buffered
-        # opens are counted here first), so when the parent counts open
-        # headroom the worker is guaranteed to admit — no RPC needed,
-        # the open rides the next frame to that worker.
-        parent_load = sum(
-            1 for widx in self._shard_of.values() if widx == first
-        )
-        if parent_load < self.session_capacity:
-            self._pending_opens[first].append(session_id)
-            self.workers[first].load += 1  # placement sees it immediately
-            self._shard_of[session_id] = first
-            self._base_steps[session_id] = 0
-            self._inflight_rids[session_id] = {}
-            self.supervisor.on_open(session_id)
-            return session_id
-        candidates = [first]
-        if self.admission_spill:
-            candidates += sorted(
-                (i for i in range(len(self.workers)) if i != first),
-                key=lambda i: (
-                    self.workers[i].load, self.workers[i].queue_depth, i
-                ),
-            )
-        for attempt, index in enumerate(candidates):
-            try:
-                reply = self._rpc(
-                    index, {"cmd": "open", "session_id": session_id}
-                )
-            except WorkerCrashed:
-                self._recover_worker(index)
-                reply = self._rpc(
-                    index, {"cmd": "open", "session_id": session_id}
-                )
-            if reply["ok"] is not None:
-                if attempt > 0:
-                    self.metrics.admission_spills += 1
-                self._shard_of[session_id] = index
-                self._base_steps[session_id] = 0
-                self._inflight_rids[session_id] = {}
-                self.supervisor.on_open(session_id)
-                return session_id
-        self.metrics.admission_rejects += 1
-        return None
-
-    def close_session(self, session_id: str) -> None:
-        index = self.shard_of(session_id)
-        try:
-            self._rpc(index, {"cmd": "close", "session_id": session_id})
-        except WorkerCrashed:
-            self._recover_worker(index)
-            self._rpc(index, {"cmd": "close", "session_id": session_id})
-        self._forget_session(session_id)
-
-    def submit(
-        self,
-        session_id: str,
-        x: np.ndarray,
-        trace: Optional[tuple] = None,
-    ) -> Optional[StepRequest]:
-        """Queue one timestep; returns a mirror request, or ``None`` when
-        the owning worker's queue bound is reached (backpressure).
-
-        The mirror is buffered and flushed with the next :meth:`run_tick`
-        RPC; admission is checked here, synchronously, against the
-        parent's own count of that worker's in-flight requests (it
-        mirrors the worker's bound exactly, so the refusal semantics
-        match the in-process servers).  With a tracer attached the
-        routing hop is a ``router.submit`` span and its context ships to
-        the worker with the buffered submit, so the worker-side spans
-        join the same trace.
-        """
-        index = self.shard_of(session_id)
-        x = np.asarray(x)
-        input_size = self.config.word_size
-        if x.shape != (input_size,):
-            raise ConfigError(
-                f"submit expects x of shape ({input_size},), got {x.shape}"
-            )
-        # Before the replay log: a refused input must never be replayed.
-        if not np.isfinite(x).all():
-            raise ConfigError("submit expects a finite x, got NaN or inf")
-        span = None
-        ctx = tuple(trace) if trace is not None else None
-        if self.tracer is not None:
-            span = self.tracer.start(
-                "router.submit", parent=trace, attrs={"session": session_id}
-            )
-            ctx = span.context
-        if self._worker_inflight[index] >= self.queue_capacity:
-            self.metrics.admission_rejects += 1
-            if span is not None:
-                self.tracer.end(span, accepted=False)
-            return None
-        step = self.supervisor.on_submit(session_id, x)
-        rid = self._rid_counter
-        self._rid_counter += 1
-        mirror = StepRequest(
-            session_id=session_id,
-            x=np.array(x, copy=True),
-            submitted_tick=self.tick,
-            seq=rid,
-            trace=ctx,
-        )
-        self._mirrors[rid] = mirror
-        self._rid_info[rid] = (session_id, step, index)
-        self._inflight_rids[session_id][step] = rid
-        self._buffers[index].append((rid, session_id, mirror.x, ctx))
-        self._worker_inflight[index] += 1
-        if span is not None:
-            self.tracer.end(span, accepted=True)
-        if ctx is not None:
-            self._pending_traces.append(ctx)
-        return mirror
-
-    # ------------------------------------------------------------------
     def run_tick(self) -> List[StepRequest]:
-        """Drive every worker one tick, concurrently; collect completions.
-
-        Buffered submits flush inside each worker's tick frame; all tick
-        frames are written before any reply is read, so the workers'
-        engine steps overlap across processes.  A worker that crashed
-        (or was SIGKILLed) since the last interaction is detected here,
-        respawned, and restored from checkpoints + replay logs before
-        the tick proceeds.  Completed mirrors return in submit order;
-        replay ghosts (recomputed steps whose results were already
-        delivered) are resolved but not returned.
-        """
-        tick_ctx: Optional[Tuple[int, int]] = None
-        tick_span = None
-        if self.tracer is not None:
-            parent = self._pending_traces[0] if self._pending_traces else None
-            tick_span = self.tracer.start(
-                "cluster.tick", parent=parent, attrs={"tick": self.tick}
-            )
-            tick_ctx = tick_span.context
-        self._pending_traces.clear()
-        pending_reply: List[int] = []
-        for index in range(len(self.workers)):
-            submits = self._buffers[index]
-            if not submits and self._worker_inflight[index] == 0:
-                # Idle worker: nothing buffered and nothing in flight, so
-                # a tick RPC could only burn a round trip.  Skipping it
-                # means an idle worker's local clock (and therefore its
-                # session-TTL expiry) only advances on active ticks —
-                # capacity pressure still evicts via LRU on open.
-                continue
-            self._buffers[index] = []
-            message = {"cmd": "tick", "submits": submits}
-            self._attach_opens(index, message)
-            try:
-                self.workers[index].send(message, trace=tick_ctx)
-            except WorkerCrashed:
-                # The buffered submits are in the supervisor's logs (and
-                # buffered opens in its session set); recovery re-opens
-                # and re-enqueues them on the replacement worker.
-                self._recover_worker(index)
-                self.workers[index].send(
-                    {"cmd": "tick", "submits": []}, trace=tick_ctx
-                )
-            pending_reply.append(index)
-        for index in pending_reply:
-            try:
-                reply = self.workers[index].recv_reply("tick")
-            except WorkerCrashed:
-                self._recover_worker(index)
-                reply = self.workers[index].call(
-                    {"cmd": "tick", "submits": []}
-                )
-            self._process_reply(index, reply)
-        if tick_span is not None:
-            self.tracer.end(tick_span, workers=len(pending_reply))
-        self.tick += 1
+        """The cluster tick, then the checkpoint cadence; completed
+        mirrors return in submit order."""
+        completed = super().run_tick()
         if (
             self.checkpoint_interval is not None
             and self.tick % self.checkpoint_interval == 0
         ):
-            self.checkpoint_now(min_log=self.checkpoint_min_log)
-        if self.rebalance is not None:
-            for session_id, src, dst in self.rebalance.plan(self.workers):
-                if self._shard_of.get(session_id) != src:
-                    continue
-                if self.workers[dst].load >= self.workers[dst].capacity:
-                    continue
-                self.migrate_session(session_id, dst)
-        completed = self._completed_stash
-        self._completed_stash = []
-        completed.sort(key=lambda request: request.seq)  # submit order
+            self.checkpoint_now(self.checkpoint_min_log)
+        completed.sort(key=lambda request: request.seq)
         return completed
 
     def checkpoint_now(self, min_log: int = 0) -> int:
@@ -1047,286 +1068,14 @@ class ProcCluster:
         Ships every session whose supervisor replay log holds at least
         ``min_log`` steps — and at least one (0, the default for explicit
         calls, means every session with anything to replay).  Workers
-        whose sessions are all below the bar are skipped entirely — at
-        steady state a periodic round with nothing to ship costs no RPC.
+        whose sessions are all below the bar cost no RPC.
         """
-        count = 0
-        wanted: List[List[str]] = [[] for _ in self.workers]
-        for session_id, index in self._shard_of.items():
-            depth = self.supervisor.log_depth(session_id)
-            if depth > 0 and depth >= min_log:
-                wanted[index].append(session_id)
-        for index, sessions in enumerate(wanted):
-            if not sessions:
-                continue
-            try:
-                reply = self._rpc(
-                    index, {"cmd": "checkpoint_all", "sessions": sessions}
-                )
-            except WorkerCrashed:
-                self._recover_worker(index)
-                continue  # the recovered worker was just restored
-            for session_id, (payload, steps) in reply["ok"].items():
-                if session_id not in self._shard_of:
-                    continue
-                parent_steps = self._base_steps[session_id] + int(steps)
-                self.supervisor.on_checkpoint(
-                    session_id, payload, parent_steps
-                )
-                count += 1
-        return count
-
-    # ------------------------------------------------------------------
-    def session_state(self, session_id: str):
-        """Copy of a session's current recurrent state (checkpoint read,
-        decoded from the worker's wire-format payload)."""
-        from repro.dnc.numpy_ref import NumpyDNCState
-
-        return NumpyDNCState.from_bytes(self.checkpoint_session(session_id))
-
-    def checkpoint_session(self, session_id: str) -> bytes:
-        """One session's current state as checkpoint bytes (also feeds
-        the supervisor, so recovery baselines advance)."""
-        index = self.shard_of(session_id)
-        try:
-            reply = self._rpc(
-                index, {"cmd": "checkpoint", "session_id": session_id}
-            )
-        except WorkerCrashed:
-            self._recover_worker(index)
-            reply = self._rpc(
-                index, {"cmd": "checkpoint", "session_id": session_id}
-            )
-        payload, steps = reply["ok"]
-        self.supervisor.on_checkpoint(
-            session_id, payload, self._base_steps[session_id] + int(steps)
-        )
-        return payload
-
-    def restore_session(self, session_id: str, payload: bytes) -> str:
-        """Open a session from externally supplied checkpoint bytes."""
-        if session_id in self._shard_of:
-            raise ConfigError(f"session {session_id!r} already exists")
-        index = self.placement.place(session_id, self.workers)
-        try:
-            self._rpc(
-                index,
-                {"cmd": "restore", "session_id": session_id, "payload": payload},
-            )
-        except WorkerCrashed:
-            self._recover_worker(index)
-            self._rpc(
-                index,
-                {"cmd": "restore", "session_id": session_id, "payload": payload},
-            )
-        self._shard_of[session_id] = index
-        self._base_steps[session_id] = 0
-        self._inflight_rids[session_id] = {}
-        self.supervisor.on_restore(session_id, payload)
-        return session_id
-
-    def migrate_session(self, session_id: str, dst: int) -> None:
-        """Move a live session (state + pending FIFO) to worker ``dst``.
-
-        The detach's checkpoint bytes double as a fresh supervisor
-        baseline, so a migration also advances the session's recovery
-        point for free.  If the destination dies mid-attach, the session
-        is restored onto the source from that same baseline — a crashed
-        migration never loses the session.
-        """
-        src = self.shard_of(session_id)
-        if not 0 <= dst < len(self.workers):
-            raise ConfigError(
-                f"destination worker {dst} out of range "
-                f"(cluster has {len(self.workers)})"
-            )
-        if dst == src:
-            return
-        if self.workers[dst].load >= self.workers[dst].capacity:
-            raise CapacityError(
-                f"worker {dst} is full; cannot migrate {session_id!r}"
-            )
-        try:
-            reply = self._rpc(src, {"cmd": "detach", "session_id": session_id})
-        except WorkerCrashed:
-            # The source died before handing the session over; recovery
-            # rebuilds it in place and the move is abandoned this round.
-            self._recover_worker(src)
-            return
-        payload, pending, steps = reply["ok"]
-        parent_steps = self._base_steps[session_id] + int(steps)
-        self.supervisor.on_checkpoint(session_id, payload, parent_steps)
-        self._base_steps[session_id] = parent_steps
-        for rid, _x, _t in pending:
-            if rid in self._rid_info:
-                sid, step, _w = self._rid_info[rid]
-                self._rid_info[rid] = (sid, step, dst)
-        moved = len(pending)
-        self._worker_inflight[src] -= moved
-        try:
-            self._rpc(dst, {
-                "cmd": "attach", "session_id": session_id,
-                "payload": payload, "pending": pending,
-            })
-        except WorkerCrashed:
-            self._recover_worker(dst)  # replays dst's own sessions
-            self._shard_of[session_id] = src
-            self._restore_session_on(src, session_id)
-            return
-        self._worker_inflight[dst] += moved
-        self._shard_of[session_id] = dst
-        self.migrations += 1
-
-    # ------------------------------------------------------------------
-    def kill_worker(self, index: int) -> None:
-        """SIGKILL a worker (crash drill); recovery runs on next contact."""
-        self.workers[index].kill()
-
-    def _recover_worker(self, index: int) -> None:
-        """Respawn worker ``index`` and restore every resident session.
-
-        Each session is rebuilt from the supervisor's plan: restore the
-        last checkpoint (or re-open fresh when none exists) and re-submit
-        the logged inputs in order.  Pending steps keep their original
-        mirrors — client-held requests complete normally after the
-        restart; already-delivered steps replay as ghosts.
-        """
-        old = self.workers[index]
-        old.kill()
-        old.sock.close()
-        if self.flight is not None:
-            # Hand the dead worker's last-K tick history (spans + phase
-            # stats) to the supervisor before anything overwrites it —
-            # the postmortem a crash investigation starts from.
-            self.supervisor.on_worker_death(index, self.flight.dump(index))
-            self.flight.clear(index)
-        self._worker_phase[index] = {}
-        self.workers[index] = self._spawn(index)
-        self.restarts[index] += 1
-        self.metrics.worker_restarts += 1
-        # In-flight counts are rebuilt from the replayed queue below;
-        # buffered opens died with the process and are re-opened by the
-        # per-session restore (their sessions are still in _shard_of).
-        self._worker_inflight[index] = 0
-        self._buffers[index] = []
-        self._pending_opens[index] = []
-        sessions = [
-            sid for sid, widx in self._shard_of.items() if widx == index
-        ]
-        for session_id in sessions:
-            self._restore_session_on(index, session_id)
-
-    def _restore_session_on(self, index: int, session_id: str) -> None:
-        payload, replay = self.supervisor.recovery_plan(session_id)
-        if payload is not None:
-            self._rpc(index, {
-                "cmd": "restore", "session_id": session_id, "payload": payload,
-            })
-            self._base_steps[session_id] = self.supervisor.checkpoint_steps(
-                session_id
-            )
-        else:
-            reply = self._rpc(index, {"cmd": "open", "session_id": session_id})
-            if reply["ok"] is None:
-                raise ServeError(
-                    f"worker {index} refused session {session_id!r} "
-                    "during crash recovery"
-                )
-            self._base_steps[session_id] = 0
-        inflight = self._inflight_rids.setdefault(session_id, {})
-        # Replay submits are untraced: the original request's spans were
-        # already recorded (or died with the worker's ring).
-        submits: List[Tuple[int, str, np.ndarray, Optional[tuple]]] = []
-        for step, x in replay:
-            rid = inflight.get(step)
-            if rid is None:
-                # Already delivered before the crash: recompute to rebuild
-                # state, but don't hand the result to anyone twice.
-                rid = self._rid_counter
-                self._rid_counter += 1
-                self._ghosts.add(rid)
-                self._mirrors[rid] = StepRequest(
-                    session_id=session_id, x=np.array(x, copy=True),
-                    submitted_tick=self.tick, seq=rid,
-                )
-                self._rid_info[rid] = (session_id, step, index)
-                inflight[step] = rid
-            else:
-                self._rid_info[rid] = (session_id, step, index)
-            submits.append((rid, session_id, x, None))
-            self._worker_inflight[index] += 1
-        if submits:
-            self._rpc(
-                index, {"cmd": "enqueue", "submits": submits, "drain": True}
-            )
-
-    # ------------------------------------------------------------------
-    def drain(self, max_ticks: int = 10_000) -> List[StepRequest]:
-        """Run cluster ticks until no request is in flight."""
-        completed: List[StepRequest] = []
-        for _ in range(max_ticks):
-            if self.queue_depth == 0:
-                return completed
-            completed.extend(self.run_tick())
-        raise ConfigError(
-            f"drain did not empty the queues within {max_ticks} ticks"
-        )
-
-    def close(self) -> None:
-        """Stop every worker process (idempotent; SIGKILL stragglers)."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self.workers:
-            worker.close()
-
-    def __enter__(self) -> "ProcCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # last-resort: never leak child processes
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    def cluster_metrics(self) -> ServerMetrics:
-        """Merged worker metrics plus the front door's local counters.
-
-        A restarted worker reports metrics from its respawn onward (the
-        dead process's history is gone), and replayed steps are counted
-        again by the worker that recomputed them — the merged object
-        reports work actually performed, which is the honest accounting
-        under restarts.
-        """
-        parts = [self.metrics]
-        for index in range(len(self.workers)):
-            try:
-                reply = self._rpc(index, {"cmd": "metrics"})
-            except WorkerCrashed:
-                self._recover_worker(index)
-                reply = self._rpc(index, {"cmd": "metrics"})
-            parts.append(ServerMetrics.from_state(reply["ok"]))
-        return ServerMetrics.merge(parts)
-
-    def cluster_profile(self) -> Dict[str, Dict[str, float]]:
-        """Merged per-phase engine profile across workers (empty unless
-        constructed with ``profile=True``).  Built from the cumulative
-        stats each worker piggybacks on its replies — no extra RPC."""
-        merged = PhaseTimer()
-        for phase in self._worker_phase:
-            merged.merge(phase)
-        return merged.stats()
+        return sum(worker.checkpoint_all(min_log) for worker in self.shards)
 
     def snapshot(self) -> Dict[str, object]:
-        """One JSON-able cluster snapshot: merged metrics + liveness."""
-        snap = self.cluster_metrics().snapshot()
-        snap["workers"] = len(self.workers)
-        snap["cluster_ticks"] = self.tick
-        snap["sessions_migrated"] = self.migrations
+        """The cluster snapshot plus process liveness and recovery."""
+        snap = super().snapshot()
+        snap["workers"] = len(self.shards)
         snap["worker_restarts"] = self.worker_restarts
         snap["checkpoints_taken"] = self.supervisor.checkpoints_taken
         snap["sessions_recovered"] = self.supervisor.sessions_recovered
@@ -1335,11 +1084,11 @@ class ProcCluster:
                 "worker": worker.index,
                 "pid": worker.pid,
                 "alive": worker.alive,
-                "restarts": self.restarts[index],
+                "restarts": worker.restarts,
                 "sessions": worker.load,
                 "queue_depth": worker.queue_depth,
             }
-            for index, worker in enumerate(self.workers)
+            for worker in self.shards
         ]
         return snap
 

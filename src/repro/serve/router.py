@@ -1,7 +1,8 @@
 """Session routing policies for the sharded serving cluster.
 
 Two pluggable policy surfaces, both consumed by
-:class:`repro.serve.cluster.ShardedServer`:
+:class:`repro.serve.cluster.ShardedServer` (and so by its process
+transport, :class:`repro.serve.proc.ProcCluster`):
 
 * :class:`PlacementPolicy` — where a **new** session opens.
   :class:`LeastLoadedPlacement` (the default) packs onto the
@@ -45,9 +46,10 @@ class PlacementPolicy:
     def place(self, session_id: str, shards: Sequence) -> int:
         """Index into ``shards`` for ``session_id``.
 
-        ``shards`` are :class:`~repro.serve.shard.EngineShard` objects;
-        policies may read their ``load`` / ``queue_depth`` but must not
-        mutate them.
+        ``shards`` are the cluster's shard handles (in-process
+        :class:`~repro.serve.shard.EngineShard` or worker-process
+        :class:`~repro.serve.proc.ProcWorker`); policies may read their
+        ``load`` / ``queue_depth`` but must not mutate them.
         """
         raise NotImplementedError
 
@@ -123,9 +125,12 @@ class RebalancePolicy:
     def plan(self, shards: Sequence) -> List[Tuple[str, int, int]]:
         """``(session_id, src_shard, dst_shard)`` moves to apply now.
 
-        Called by :meth:`ShardedServer.run_tick` between ticks, when no
-        batch is in flight; the cluster executes the moves in order and
-        skips any that turned stale (session closed meanwhile).
+        ``shards`` are the cluster's shard handles; policies read only
+        the handle surface (``load``, ``queue_depth``, ``capacity``,
+        ``pending_counts``, ``p95_wait``, ``session_ids()``).  Called by
+        the cluster's ``run_tick`` between ticks, when no batch is in
+        flight; the cluster executes the moves in order and skips any
+        that turned stale (session closed meanwhile, destination full).
         """
         raise NotImplementedError
 
@@ -159,11 +164,11 @@ class HotSpotRebalance(RebalancePolicy):
             cold = min(range(len(shards)), key=lambda i: (loads[i], i))
             if loads[hot] - loads[cold] <= self.max_spread:
                 break
-            if loads[cold] >= shards[cold].store.capacity:
+            if loads[cold] >= shards[cold].capacity:
                 break
             victim = next(
                 (
-                    sid for sid in shards[hot].store.ids()  # LRU first
+                    sid for sid in shards[hot].session_ids()  # LRU first
                     if sid not in planned
                 ),
                 None,
@@ -195,11 +200,9 @@ class QueueDepthRebalance(RebalancePolicy):
     migration, and the pending FIFO rides the checkpoint so nothing is
     refused or reordered within the session.
 
-    Duck-typed over anything exposing ``load``, ``queue_depth``,
-    ``capacity``, ``pending_counts`` and ``p95_wait`` — i.e. both
-    :class:`~repro.serve.shard.EngineShard` (in-process threads) and
-    :class:`~repro.serve.proc.ProcWorker` (whose stats cache mirrors the
-    worker's last reply), so one policy serves both topologies.
+    Reads only the handle surface, so one policy serves both shard
+    transports (a :class:`~repro.serve.proc.ProcWorker`'s
+    ``pending_counts`` and ``p95_wait`` mirror the worker's last reply).
     """
 
     def __init__(

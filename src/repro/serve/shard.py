@@ -1,13 +1,12 @@
-"""The engine-owning serving worker: one shard of a (possibly sharded) cluster.
+"""The engine-owning serving worker: the single-engine server and a cluster shard.
 
-:class:`EngineShard` is the extracted core of the original
-``SessionServer`` — one :class:`~repro.core.engine.TiledEngine` plus the
-session store, micro-batcher, resident state arena, and masked-step
-dispatch that serve it.  A single shard *is* the single-engine server
-(:class:`repro.serve.server.SessionServer` is the thin 1-shard front
-door, preserving the original API verbatim), and N shards compose into
-a :class:`repro.serve.cluster.ShardedServer` that routes sessions
-across them.
+:class:`EngineShard` is one :class:`~repro.core.engine.TiledEngine` plus
+the session store, micro-batcher, resident state arena, and masked-step
+dispatch that serve it.  On its own it *is* the single-engine server
+(exported as ``SessionServer``); inside a
+:class:`repro.serve.cluster.ShardedServer` it is the in-process shard
+handle, and a :class:`repro.serve.proc.ProcWorker` serves the same
+surface over RPC to an ``EngineShard`` in a worker process.
 
 State residency: every session is pinned to one slot of a
 preallocated :class:`~repro.serve.arena.StateArena` for its whole
@@ -16,8 +15,8 @@ engine's masked in-place step — session state is copied exactly once on
 join (slot write) and once on leave/checkpoint (slot read:
 :meth:`session_state` / :meth:`restore_session_state`).
 
-Checkpoint/migration surface (the sharded cluster's rebalancing
-primitive): :meth:`checkpoint_session` / :meth:`restore_session` carry a
+Checkpoint/migration surface (the cluster's rebalancing primitive):
+:meth:`checkpoint_session` / :meth:`restore_session` carry a
 session's full recurrent state as the versioned
 :meth:`~repro.dnc.numpy_ref.NumpyDNCState.to_bytes` byte string, and
 :meth:`detach_session` / :meth:`attach_session` move a *live* session —
@@ -71,7 +70,6 @@ class EngineShard:
     def __init__(
         self,
         engine: TiledEngine,
-        shard_id: int = 0,
         max_batch: int = 16,
         max_wait_ticks: int = 2,
         queue_capacity: int = 1024,
@@ -80,6 +78,8 @@ class EngineShard:
         metrics: Optional[ServerMetrics] = None,
         tracer: Optional[Tracer] = None,
         profiler: Optional[PhaseTimer] = None,
+        *,
+        shard_id: int = 0,
     ):
         self.engine = engine
         self.shard_id = shard_id
@@ -146,6 +146,10 @@ class EngineShard:
         """p95 request wait in ticks (``None`` before any completion)."""
         return self.metrics.wait_percentiles()[1]
 
+    def session_ids(self) -> List[str]:
+        """Resident session ids, least recently active first."""
+        return self.store.ids()
+
     def phase_stats(self):
         """Cumulative per-phase engine profile (empty without a
         profiler) — a :meth:`repro.obs.profiler.PhaseTimer.stats` dict."""
@@ -172,7 +176,9 @@ class EngineShard:
 
         Admission may evict an idle session (TTL first, then LRU — never
         one with queued requests); when the store is full of protected
-        sessions the open is refused and counted as an admission reject.
+        sessions the open is refused.  The refusal is not counted here:
+        a cluster tries other shards first, and its front door counts
+        one admission reject per open it finally refuses.
         """
         if session_id is None:
             # Skip over any ids the caller already claimed explicitly.
@@ -185,7 +191,6 @@ class EngineShard:
                 session_id, self.tick, protect=self.batcher.pending_sessions()
             )
         except CapacityError:
-            self.metrics.admission_rejects += 1
             return None
         # Join: the session's single slot write (a zeroed initial
         # state); its state never moves again until it leaves.

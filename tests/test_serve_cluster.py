@@ -276,6 +276,25 @@ class TestMigration:
         assert len(completed) == 1 and completed[0].error is None
         cluster.close()
 
+    def test_failed_attach_puts_the_session_back_on_its_source(
+        self, rng, monkeypatch
+    ):
+        cluster = make_cluster(2)
+        cluster.open_session("a")
+        src = cluster.shard_of("a")
+        queued = [cluster.submit("a", x) for x in rng.standard_normal((2, 16))]
+
+        def refuse(*args):
+            raise CapacityError("destination refused the attach")
+
+        monkeypatch.setattr(cluster.shards[1 - src], "attach_session", refuse)
+        with pytest.raises(CapacityError):
+            cluster.migrate_session("a", 1 - src)
+        assert cluster.shard_of("a") == src and cluster.migrations == 0
+        cluster.drain()
+        assert all(r.done and r.error is None for r in queued)
+        cluster.close()
+
     def test_detach_attach_preserves_request_objects_in_order(self, rng):
         shard_a, shard_b = make_cluster(2).shards
         shard_a.open_session("s")

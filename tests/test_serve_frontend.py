@@ -179,16 +179,15 @@ class TestClusterRebalanceIntegration:
 
 
 class TestShardedServerSpill:
-    def _spill_server(self, admission_spill):
+    def _spill_server(self):
         engines = [TiledEngine(serve_config(), rng=SEED) for _ in range(2)]
         return ShardedServer(
             engines, max_batch=4, max_wait_ticks=1, session_capacity=1,
             parallel=False, placement=_PinnedPlacement(),
-            admission_spill=admission_spill,
         )
 
     def test_spill_retries_next_best_shard(self):
-        with self._spill_server(True) as server:
+        with self._spill_server() as server:
             assert server.open_session("a") == "a"
             # A queued request pins "a" (in-process submits enqueue
             # immediately, unlike the proc cluster's buffered submits).
@@ -198,14 +197,6 @@ class TestShardedServerSpill:
             assert server.cluster_metrics().admission_spills == 1
             server.submit("b", np.zeros(8))
             assert server.open_session("c") is None
-            server.drain()
-
-    def test_spill_disabled_keeps_placed_shard_refusal(self):
-        with self._spill_server(False) as server:
-            assert server.open_session("a") == "a"
-            server.submit("a", np.zeros(8))
-            assert server.open_session("b") is None
-            assert server.cluster_metrics().admission_spills == 0
             server.drain()
 
 

@@ -21,7 +21,13 @@ import pytest
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
 from repro.errors import CapacityError, ConfigError, FrameError, WorkerCrashed
-from repro.serve import CheckpointSupervisor, ProcCluster
+from repro.serve import (
+    CheckpointSupervisor,
+    HotSpotRebalance,
+    ProcCluster,
+    SessionServer,
+    ShardedServer,
+)
 from repro.serve.loadgen import (
     SessionScript,
     generate_zipf_scripts,
@@ -297,7 +303,7 @@ class TestProcClusterBasics:
             assert cluster.submit(sid, np.zeros(8)) is not None
             assert cluster.submit(sid, np.zeros(8)) is not None
             assert cluster.submit(sid, np.zeros(8)) is None
-            assert cluster.metrics.admission_rejects == 1
+            assert cluster.cluster_metrics().admission_rejects == 1
 
     def test_admission_spill_lands_on_second_worker(self):
         # Pin placement to worker 0 and protect its one slot with a
@@ -322,19 +328,6 @@ class TestProcClusterBasics:
             # Both slots protected: a third open is refused cleanly.
             assert cluster.open_session("c") is None
             assert cluster.metrics.admission_rejects == 1
-            cluster.drain()
-
-    def test_spill_disabled_refuses_at_placed_worker(self):
-        with make_cluster(
-            num_workers=2, session_capacity=1, placement=_PinnedPlacement(),
-            admission_spill=False,
-        ) as cluster:
-            assert cluster.open_session("a") == "a"
-            cluster.submit("a", np.zeros(8))
-            cluster.submit("a", np.zeros(8))
-            cluster.run_tick()
-            assert cluster.open_session("b") is None
-            assert cluster.metrics.admission_spills == 0
             cluster.drain()
 
     def test_checkpoint_restore_roundtrip_across_cluster(self):
@@ -399,6 +392,88 @@ class TestProcClusterBasics:
                     assert request.error is None
                     np.testing.assert_allclose(
                         request.y, baseline[t], atol=1e-10, rtol=0.0
+                    )
+
+
+# ---------------------------------------------------------------------------
+# One front door, two shard transports
+# ---------------------------------------------------------------------------
+
+
+def make_server(kind, num_shards=1, **kwargs):
+    """The same small server as an in-process shard, a thread cluster or
+    a process cluster."""
+    knobs = dict(max_batch=4, max_wait_ticks=1, session_capacity=8)
+    knobs.update(kwargs)
+    if kind == "proc":
+        return make_cluster(
+            num_workers=num_shards, checkpoint_interval=None, **knobs
+        )
+    engines = [
+        TiledEngine(proc_config(), rng=SEED) for _ in range(num_shards)
+    ]
+    if kind == "inproc":
+        return SessionServer(engines[0], **knobs)
+    return ShardedServer(engines, parallel=False, **knobs)
+
+
+class TestOneFrontDoor:
+    @pytest.mark.parametrize("kind", ["inproc", "threads", "proc"])
+    def test_queued_submit_protects_its_session_from_eviction(self, kind):
+        # The process cluster buffers the submit in the parent; it must
+        # reach the worker ahead of the open that would evict "s0".
+        with make_server(kind, session_capacity=1) as server:
+            assert server.open_session("s0") == "s0"
+            request = server.submit("s0", np.full(8, 0.3))
+            assert server.open_session("s1") is None
+            server.drain()
+            assert request.done and request.error is None
+
+    @pytest.mark.parametrize("kind", ["threads", "proc"])
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_refused_open_counts_one_admission_reject(self, kind, num_shards):
+        with make_server(
+            kind, num_shards, session_capacity=1,
+            placement=_PinnedPlacement(),
+        ) as cluster:
+            for index in range(num_shards):
+                sid = f"s{index}"
+                assert cluster.open_session(sid) == sid
+                assert cluster.shard_of(sid) == index
+                cluster.submit(sid, np.zeros(8))  # pins sid (queued work)
+            assert cluster.open_session("late") is None
+            merged = cluster.cluster_metrics()
+            assert merged.admission_rejects == 1
+            assert merged.admission_spills == num_shards - 1
+            cluster.drain()
+
+    def test_hot_spot_rebalance_migrates_between_workers(self):
+        config = proc_config()
+        rng = np.random.default_rng(11)
+        inputs = {
+            f"s{i}": [rng.standard_normal(8) for _ in range(6)]
+            for i in range(4)
+        }
+        with make_cluster(
+            num_workers=2, placement=_PinnedPlacement(),
+            rebalance=HotSpotRebalance(max_spread=1),
+        ) as cluster:
+            requests = {sid: [] for sid in inputs}
+            for sid in inputs:
+                assert cluster.open_session(sid) == sid
+            for t in range(6):
+                for sid, xs in inputs.items():
+                    requests[sid].append(cluster.submit(sid, xs[t]))
+                cluster.run_tick()
+            cluster.drain()
+            assert cluster.migrations >= 1
+            assert sorted(w.load for w in cluster.workers) == [2, 2]
+            for sid, xs in inputs.items():
+                solo = solo_trajectory(config, xs)
+                for t, request in enumerate(requests[sid]):
+                    assert request.done and request.error is None
+                    np.testing.assert_allclose(
+                        request.y, solo[t], atol=1e-10, rtol=0.0
                     )
 
 
