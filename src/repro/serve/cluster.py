@@ -14,7 +14,7 @@ sequential ones), and merges the per-shard
 
 A handle has two transports and one surface (``load``,
 ``queue_depth``, ``capacity``, ``pending_counts``, ``p95_wait``,
-``session_ids`` and the open/submit/tick/checkpoint/detach/attach
+``session_ids`` and the admit/submit/tick/checkpoint/detach/attach
 calls): an in-process :class:`~repro.serve.shard.EngineShard`, or a
 :class:`~repro.serve.proc.ProcWorker` that serves the same surface over
 framed RPC to an ``EngineShard`` in a worker process
@@ -35,6 +35,7 @@ stepping to <= 1e-10 (pinned in ``tests/test_serve_cluster.py``).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -68,11 +69,12 @@ class ShardedServer:
     session/batching knobs are per shard: a 4-shard cluster with
     ``session_capacity=16`` holds 64 sessions total.
 
-    ``parallel=True`` drives the shards' ticks from a thread pool (one
-    thread per shard).  Shards share no state, so the results are
-    bit-identical to sequential ticking — the threads only overlap the
-    engines' numpy work on separate cores, or the worker processes'
-    ticks for :class:`~repro.serve.proc.ProcCluster`.
+    ``parallel=True`` drives the shards' ticks from a thread pool.
+    Shards share no state, so the results are bit-identical to
+    sequential ticking — the threads only overlap the engines' numpy
+    work on separate cores, or the worker processes' ticks for
+    :class:`~repro.serve.proc.ProcCluster`.  The pool holds
+    ``min(num_shards, cpu_count)`` workers.
     """
 
     def __init__(
@@ -195,10 +197,7 @@ class ShardedServer:
             raise ConfigError(f"unknown session {session_id!r}") from None
 
     def _owner(self, session_id: str):
-        try:
-            return self.shards[self._shard_of[session_id]]
-        except KeyError:
-            raise ConfigError(f"unknown session {session_id!r}") from None
+        return self.shards[self.shard_of(session_id)]
 
     # ------------------------------------------------------------------
     def open_session(self, session_id: Optional[str] = None) -> Optional[str]:
@@ -229,7 +228,7 @@ class ShardedServer:
             key=lambda i: (shards[i].load, shards[i].queue_depth, i),
         )
         for attempt, index in enumerate([first] + spill):
-            opened = shards[index].open_session(session_id)
+            opened = shards[index].admit(session_id)
             # Admission may have LRU/TTL-evicted another resident session
             # to make room — resync the routing table immediately (not
             # just at the next tick) so the victim cannot linger as a
@@ -353,7 +352,7 @@ class ShardedServer:
         if self.parallel and len(self.shards) > 1:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=len(self.shards),
+                    max_workers=min(len(self.shards), os.cpu_count() or 1),
                     thread_name_prefix="engine-shard",
                 )
             per_shard = list(

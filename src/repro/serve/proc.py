@@ -179,8 +179,6 @@ def read_frame(sock: socket.socket) -> object:
     return read_frame_traced(sock)[0]
 
 
-
-
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ def _proc_worker_main(
         # open when it counted headroom, so a refusal here is a
         # bookkeeping bug, not a capacity condition.
         for open_sid in msg.get("opens", ()):
-            if shard.open_session(open_sid) is None:
+            if shard.admit(open_sid) is None:
                 raise ConfigError(
                     f"worker store refused pre-admitted session {open_sid!r}"
                 )
@@ -308,7 +306,7 @@ def _proc_worker_main(
         if cmd == "ping":
             ok: object = "pong"
         elif cmd == "open":
-            ok = shard.open_session(msg["session_id"])
+            ok = shard.admit(msg["session_id"])
         elif cmd == "close":
             shard.close_session(msg["session_id"])
             ok = True
@@ -681,8 +679,9 @@ class ProcWorker:
         return rid
 
     # ------------------------------------------------------------------
-    def open_session(self, session_id: str) -> Optional[str]:
-        """Admit ``session_id``; ``None`` when the worker refuses.
+    def admit(self, session_id: str) -> Optional[str]:
+        """Admit ``session_id``; ``None`` when the worker refuses (the
+        front door counts the reject).
 
         The parent's session table is a superset of the worker's store
         (departures arrive with reply lag, buffered opens count here
@@ -901,7 +900,9 @@ class ProcWorker:
                     )
                     rid = self._track(ghost, step)
                 self._buffer.append((rid, session_id, x, None))
-        self._rpc({"cmd": "replay"})
+            # Step each session's log before the next one is queued: the
+            # worker's queue bound caps one log, not the sum of them.
+            self._rpc({"cmd": "replay"})
 
     def kill(self) -> None:
         """SIGKILL the worker process (the crash-drill primitive)."""

@@ -176,9 +176,7 @@ class EngineShard:
 
         Admission may evict an idle session (TTL first, then LRU — never
         one with queued requests); when the store is full of protected
-        sessions the open is refused.  The refusal is not counted here:
-        a cluster tries other shards first, and its front door counts
-        one admission reject per open it finally refuses.
+        sessions the open is refused and counted as an admission reject.
         """
         if session_id is None:
             # Skip over any ids the caller already claimed explicitly.
@@ -186,6 +184,15 @@ class EngineShard:
                 self._session_counter += 1
             session_id = f"session-{self._session_counter}"
             self._session_counter += 1
+        opened = self.admit(session_id)
+        if opened is None:
+            self.metrics.admission_rejects += 1
+        return opened
+
+    def admit(self, session_id: str) -> Optional[str]:
+        """:meth:`open_session` without counting a refusal — a cluster
+        tries other shards first, and its front door counts one
+        admission reject per open it finally refuses."""
         try:
             self.store.create(
                 session_id, self.tick, protect=self.batcher.pending_sessions()

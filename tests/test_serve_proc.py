@@ -429,23 +429,32 @@ class TestOneFrontDoor:
             server.drain()
             assert request.done and request.error is None
 
-    @pytest.mark.parametrize("kind", ["threads", "proc"])
-    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize(
+        "kind, num_shards",
+        [("inproc", 1), ("threads", 1), ("threads", 2), ("proc", 1),
+         ("proc", 2)],
+    )
     def test_refused_open_counts_one_admission_reject(self, kind, num_shards):
+        # A lone server counts its own refusal; a cluster counts one at
+        # the front door however many shards refused.
+        knobs = {} if kind == "inproc" else {"placement": _PinnedPlacement()}
         with make_server(
-            kind, num_shards, session_capacity=1,
-            placement=_PinnedPlacement(),
-        ) as cluster:
+            kind, num_shards, session_capacity=1, **knobs
+        ) as server:
             for index in range(num_shards):
                 sid = f"s{index}"
-                assert cluster.open_session(sid) == sid
-                assert cluster.shard_of(sid) == index
-                cluster.submit(sid, np.zeros(8))  # pins sid (queued work)
-            assert cluster.open_session("late") is None
-            merged = cluster.cluster_metrics()
+                assert server.open_session(sid) == sid
+                if kind != "inproc":
+                    assert server.shard_of(sid) == index
+                server.submit(sid, np.zeros(8))  # pins sid (queued work)
+            assert server.open_session("late") is None
+            merged = (
+                server.metrics if kind == "inproc"
+                else server.cluster_metrics()
+            )
             assert merged.admission_rejects == 1
             assert merged.admission_spills == num_shards - 1
-            cluster.drain()
+            server.drain()
 
     def test_hot_spot_rebalance_migrates_between_workers(self):
         config = proc_config()
@@ -547,6 +556,41 @@ class TestCrashRecovery:
                     request.y, solo[t], atol=1e-10, rtol=0.0
                 )
             assert cluster.supervisor.sessions_recovered == 1
+
+    def test_recovery_replays_logs_that_only_fit_the_queue_one_at_a_time(
+        self,
+    ):
+        # Without checkpoints every session replays its whole log; the
+        # logs together overflow the worker's queue bound, each alone
+        # fits it.
+        config = proc_config()
+        rng = np.random.default_rng(5)
+        inputs = {
+            f"s{i}": [rng.standard_normal(8) for _ in range(6)]
+            for i in range(3)
+        }
+        with make_cluster(
+            num_workers=1, checkpoint_interval=None, queue_capacity=8,
+        ) as cluster:
+            requests = {sid: [] for sid in inputs}
+            for sid in inputs:
+                assert cluster.open_session(sid) == sid
+            for t in range(5):
+                for sid, xs in inputs.items():
+                    requests[sid].append(cluster.submit(sid, xs[t]))
+                cluster.drain()
+            cluster.kill_worker(0)
+            for sid, xs in inputs.items():
+                requests[sid].append(cluster.submit(sid, xs[5]))
+            cluster.drain()
+            assert cluster.worker_restarts == 1
+            for sid, xs in inputs.items():
+                solo = solo_trajectory(config, xs)
+                for t, request in enumerate(requests[sid]):
+                    assert request.done and request.error is None
+                    np.testing.assert_allclose(
+                        request.y, solo[t], atol=1e-10, rtol=0.0
+                    )
 
     def test_non_finite_submit_refused_and_never_replayed(self):
         # Without checkpoints recovery replays the whole log, so a NaN
