@@ -80,8 +80,8 @@ class AccessPolicy:
     softmax policy, and the masked-step plumbing).
     """
 
-    #: Sparse policies route every masked step through the engine's
-    #: dense-capacity path, whatever the occupancy.
+    #: Top-K policies touch K rows per N-scaling phase (and a sparse
+    #: engine steps every masked tick in place, whatever the occupancy).
     is_sparse = False
     name = "dense"
 

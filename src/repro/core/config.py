@@ -71,19 +71,6 @@ class HiMAConfig:
     #: through the write phase).  Must be 0 (unset) under dense access.
     access_top_k: int = 0
 
-    #: Occupancy fraction at which a partially-masked step
-    #: (:meth:`~repro.core.engine.TiledEngine.step` with ``active=``
-    #: covering some but not all slots) switches from the compact
-    #: gather/scatter path to the *dense-capacity* path: every cheap
-    #: per-row kernel runs over the full resident batch (no gathers)
-    #: while the O(N^2) write phase skips inactive slots in place via
-    #: the masked fused kernel.  ``0.0`` always takes the dense path,
-    #: ``1.0`` only at full occupancy (which always does: it is the same
-    #: in-place route with nothing to scatter back).  Non-distributed
-    #: engines only — the DNC-D stacked kernels view-shard the state,
-    #: so it keeps the compact path.
-    masked_dense_min_occupancy: float = 0.75
-
     # Implementation parameters.
     macs_per_cycle: int = 2048  # per-PT M-M engine throughput
     link_words_per_cycle: int = 32  # NoC link width (words/flit)
@@ -133,9 +120,6 @@ class HiMAConfig:
                 f"access_top_k ({self.access_top_k}) requires "
                 f"access_policy='sparse'"
             )
-        check_probability(
-            "masked_dense_min_occupancy", self.masked_dense_min_occupancy
-        )
         check_positive("macs_per_cycle", self.macs_per_cycle)
         check_positive("link_words_per_cycle", self.link_words_per_cycle)
         check_positive("sequence_length", self.sequence_length)
@@ -161,6 +145,28 @@ class HiMAConfig:
     def np_dtype(self) -> np.dtype:
         """The numpy dtype every engine state/weight buffer uses."""
         return np.dtype(self.dtype)
+
+    @property
+    def masked_dense_min_occupancy(self) -> float:
+        """Occupancy fraction from which a masked step runs in place.
+
+        In place, a masked :meth:`~repro.core.engine.TiledEngine.step`
+        runs the per-row kernels over the whole resident batch and the
+        O(N^2) write phase advances the active slots where they live;
+        the compact form gathers the active rows, steps them out of
+        place and scatters them back.  ``0.0`` (in place at any
+        occupancy) under sparse access and from
+        :data:`repro.core.kernels.MIN_BLOCKED_N` rows, DNC and DNC-D
+        alike; ``1.0`` (in place at full occupancy only) below that
+        size, where copying the small N^2 fields costs less than running
+        every per-row kernel over the whole capacity.  Derived, not
+        settable: the engine reads it once at construction.
+        """
+        from repro.core.kernels import MIN_BLOCKED_N
+
+        if self.access_policy == "sparse" or self.memory_size >= MIN_BLOCKED_N:
+            return 0.0
+        return 1.0
 
     @property
     def local_rows(self) -> int:

@@ -265,6 +265,8 @@ class TiledEngine:
         # live in the backend's scratch), with traffic words scaled by
         # the active count instead of the resident batch size.
         self._fused_active: Optional[np.ndarray] = None
+        #: Occupancy from which a masked step runs in place.
+        self._masked_in_place_from = config.masked_dense_min_occupancy
 
     # ------------------------------------------------------------------
     def initial_state(self, batch_size: Optional[int] = None) -> NumpyDNCState:
@@ -305,19 +307,20 @@ class TiledEngine:
         updated *in place*: active slots advance one step, inactive
         slots are bitwise untouched, and the returned state is the same
         object.  The returned ``y`` is ``(B, output_size)`` with
-        inactive rows zero.  Occupancy at or above
-        ``config.masked_dense_min_occupancy`` (non-DNC-D) takes the
-        dense-capacity path: every cheap kernel runs over the full
-        resident batch while the O(N^2) write phase advances the active
-        slots in place, so only the small per-row fields are scattered
-        back — and when ``active`` covers every slot (any order — it is
-        then a permutation, and the per-row kernels make batch order
-        irrelevant) those are rebound instead, **zero** gather/scatter
-        copies.  DNC-D takes that route at full occupancy only, its
-        write phase landing through the stacked shard *views* of the
-        resident arrays.  Below the threshold (and for DNC-D below full
-        occupancy) the active rows are gathered/scattered with one
-        vectorized fancy index per field
+        inactive rows zero.  Under sparse access, and from
+        :data:`repro.core.kernels.MIN_BLOCKED_N` memory rows under dense
+        access (DNC and DNC-D alike), every masked step is the in-place
+        form: the cheap per-row kernels run over the whole resident
+        batch and the O(N^2) write phase advances the active slots where
+        they live, so the N^2 fields never move and only the small
+        per-row fields of the active slots are scattered back — and when
+        ``active`` covers every slot (any order — it is then a
+        permutation, and the per-row kernels make batch order
+        irrelevant) those are rebound instead, **zero** copies.  Below
+        ``MIN_BLOCKED_N`` rows a partial tick takes the compact form
+        instead: the active rows are gathered, stepped out of place and
+        scattered back with one vectorized fancy index per field.
+        ``config.masked_dense_min_occupancy`` states this rule
         (:attr:`last_state_bytes_copied` records the cost either way).
         Traffic words scale by the number of *active* slots.
         """
@@ -369,20 +372,10 @@ class TiledEngine:
         out_size = self.reference.config.output_size
         if idx.size == 0:
             return np.zeros((b, out_size), dtype=self.config.np_dtype), state
-        dense_from = (
-            1.0 if self.config.distributed
-            else self.config.masked_dense_min_occupancy
-        )
-        if self.access.is_sparse or idx.size >= dense_from * b:
-            # Dense-capacity path: the step runs over the whole resident
-            # batch with zero gathers and the write phase advances the
-            # active slots in place — full occupancy included.  Sparse
-            # access takes it at any occupancy: its cheap kernels are
-            # O(K)/O(N) per slot (so compact-path gathers of the N^2
-            # fields would dominate the step).  DNC-D takes it at full
-            # occupancy only (sparse + distributed is rejected at config
-            # time).
+        if idx.size >= self._masked_in_place_from * b:
             return self._step_masked_dense(x, state, idx)
+        # Compact form (partial dense ticks below MIN_BLOCKED_N rows):
+        # gather the active rows, step them out of place, scatter back.
         prof = self.profiler
         if prof is not None:
             tg = prof.now()
@@ -405,24 +398,24 @@ class TiledEngine:
     ) -> Tuple[np.ndarray, NumpyDNCState]:
         """Masked step over the full resident batch, write phase in place.
 
-        At or above ``masked_dense_min_occupancy`` the compact path's
-        per-field gather/scatter of the active rows costs more than
-        simply computing the cheap per-row kernels for every resident
-        slot, so this path steps the whole capacity-``B`` batch with
-        zero gathers: the O(N^2) write phase advances the active slots
-        *in place* (:func:`repro.core.kernels.fused_erase_write_linkage_inplace`),
-        and only the small per-row state fields are scattered back — or,
-        at full occupancy, rebound (every row is new, so nothing is
-        copied).  Inactive slots stay bitwise untouched, inactive ``y``
-        rows are zero, and traffic words scale by the active count — the
-        same masked-step contract as the compact path, at
-        :attr:`last_state_bytes_copied` cost of one write per active
-        row of the non-resident fields (the N^2 fields never move).
+        The whole capacity-``B`` batch steps with zero gathers: the
+        O(N^2) write phase advances the active slots *in place*
+        (:func:`repro.core.kernels.fused_erase_write_linkage_inplace`, or
+        :func:`repro.core.kernels.sparse_erase_write_linkage_inplace`
+        under sparse access), the masked read kernels contract only the
+        active slots, and only the small per-row state fields are
+        scattered back — or, at full occupancy, rebound (every row is
+        new, so nothing is copied).  Inactive slots stay bitwise
+        untouched, inactive ``y`` rows are zero, and traffic words scale
+        by the active count — the same contract as the compact form, at
+        :attr:`last_state_bytes_copied` cost of one write per active row
+        of the non-resident fields (the N^2 fields never move).
 
-        Sparse access (``access_policy="sparse"``) routes *every* masked
-        step here: its write phase
-        (:func:`repro.core.kernels.sparse_erase_write_linkage_inplace`)
-        is masked-in-place by construction.  DNC-D comes here at full
+        Every masked step of a sparse engine, or of an engine with at
+        least :data:`repro.core.kernels.MIN_BLOCKED_N` memory rows, comes
+        here (DNC-D writes through the stacked shard *views* of the
+        resident arrays and computes, then discards, its stacked reads
+        for the inactive slots); smaller dense engines come here at full
         occupancy, and :meth:`run_batch` is this step with every slot
         active.
         """
@@ -635,8 +628,8 @@ class TiledEngine:
         einsum/matmul (see :mod:`repro.core.kernels`), under an optional
         leading batch axis.
 
-        **In place** (``self._fused_active`` set by the full-occupancy
-        masked step): the stacked shard operands of the fused write
+        **In place** (``self._fused_active`` set by the masked in-place
+        step): the stacked shard operands of the fused write
         kernel are *views* of the state arrays, so the in-place kernel
         run on them advances ``state.memory`` / ``linkage`` /
         ``precedence`` where they live — nothing is staged, scattered or

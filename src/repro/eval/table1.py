@@ -41,9 +41,11 @@ def run(config: Optional[HiMAConfig] = None, measure_steps: int = 2) -> Experime
     notes = []
     for name, spec in KERNEL_REGISTRY.items():
         measured = ref.recorder.stats.get(name)
-        measured_ext = measured.ext_mem_accesses // measured.calls if measured else 0
+        # Per step, as the model counts: some kernels (normalize,
+        # similarity) are called more than once a step.
+        measured_ext = measured.ext_mem_accesses // measure_steps if measured else 0
         measured_state = (
-            measured.state_mem_accesses // measured.calls if measured else 0
+            measured.state_mem_accesses // measure_steps if measured else 0
         )
         rows.append([
             spec.kernel_type,

@@ -30,9 +30,11 @@ import time
 from typing import Dict, Mapping, Optional
 
 #: The named phases the engine step attributes time to, in execution
-#: order.  ``gather_scatter`` covers masked-step state staging (compact
-#: gather/scatter, dense-path row scatter); the rest are the DNC phase
-#: sequence of ``TiledEngine._step_dnc``.
+#: order.  ``gather_scatter`` covers masked-step state staging: the
+#: per-row field scatter of the in-place form, or the whole-row
+#: gather/scatter of the compact form (partial ticks of dense engines
+#: below ``kernels.MIN_BLOCKED_N`` rows only); the rest are the DNC
+#: phase sequence of ``TiledEngine._step_dnc``.
 PHASES = (
     "controller",
     "content_addressing",

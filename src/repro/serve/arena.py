@@ -91,8 +91,10 @@ class StateArena:
         """Slots for ``session_ids``, preserving the given order.
 
         Order preservation matters for numerics: the engine's compact
-        masked path gathers rows in this order, so dispatch order — not
-        slot numbering — determines batch row order.
+        masked form (partial ticks of dense engines below
+        ``kernels.MIN_BLOCKED_N`` rows) gathers rows in this order, so
+        dispatch order — not slot numbering — determines batch row order
+        there.
         """
         return np.fromiter(
             (self.slot_of(sid) for sid in session_ids),

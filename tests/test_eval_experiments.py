@@ -36,6 +36,24 @@ class TestTable1:
         assert len(result.rows) == 13
         assert result.headers[0] == "type"
 
+    @pytest.mark.parametrize("config", [
+        pytest.param(HiMAConfig(), id="default"),
+        pytest.param(
+            HiMAConfig(memory_size=64, word_size=16, num_reads=2,
+                       hidden_size=32),
+            id="n64",
+        ),
+    ])
+    def test_model_equals_measured_per_step(self, config):
+        result = table1.run(config, measure_steps=2)
+        ext_model, ext_meas, state_model, state_meas = (
+            result.headers.index(h)
+            for h in ("ext model", "ext meas", "state model", "state meas")
+        )
+        for row in result.rows:
+            assert row[ext_model] == row[ext_meas], row[1]
+            assert row[state_model] == row[state_meas], row[1]
+
 
 class TestFig4:
     def test_memory_unit_dominates(self):

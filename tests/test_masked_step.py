@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
+from repro.core.kernels import MIN_BLOCKED_N
 from repro.dnc.numpy_ref import NumpyDNCState
 from repro.errors import ConfigError
 
@@ -49,9 +50,21 @@ def fields_equal(a, b):
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("distributed", [False, True], ids=["dnc", "dncd"])
-def test_masked_step_matches_gather_scatter(dtype, distributed, rng):
-    engine = make_engine(dtype=dtype, distributed=distributed)
+@pytest.mark.parametrize("features", [
+    pytest.param({}, id="dnc"),
+    pytest.param({"distributed": True}, id="dncd"),
+    pytest.param({"memory_size": 128}, id="dnc-n128"),
+    pytest.param({"distributed": True, "memory_size": 128}, id="dncd-n128"),
+    pytest.param(
+        {"distributed": True, "memory_size": 128, "skim_fraction": 0.2,
+         "approx_softmax": True},
+        id="dncd-skim-approx-n128",
+    ),
+])
+def test_masked_step_matches_gather_scatter(dtype, features, rng):
+    """Both masked forms — compact at N = 32, in place from N = 128 —
+    against the gather/step/scatter reference."""
+    engine = make_engine(dtype=dtype, **features)
     b = 6
     arena = warmed_state(engine, rng, b)
     snapshot = copy_state(arena)
@@ -61,6 +74,9 @@ def test_masked_step_matches_gather_scatter(dtype, distributed, rng):
     idx = np.array([4, 1, 3])  # dispatch order, deliberately not sorted
     y, out = engine.step(x, arena, active=idx)
     assert out is arena  # in place: the same state object
+    # Only the compact form moves N^2 rows.
+    in_place = engine.config.memory_size >= MIN_BLOCKED_N
+    assert (engine.last_state_bytes_copied < arena.linkage[0].nbytes) == in_place
 
     # Reference: gather the same rows in the same order, step, scatter.
     ref_batched = NumpyDNCState.stack([sessions[i] for i in idx])
@@ -124,10 +140,25 @@ def test_permuted_full_dispatch_is_dense_and_matches_gather_scatter(dtype, rng):
             ), (name, i)
 
 
+def gather_step_scatter(engine, x, arena, idx):
+    """The compact form spelled out: gather ``idx`` in dispatch order,
+    step out of place, scatter back; inactive ``y`` rows zero."""
+    y_sub, new_sub = engine.step(x[idx], arena.take_rows(idx))
+    arena.write_rows(idx, new_sub)
+    y = np.zeros((x.shape[0], y_sub.shape[1]), dtype=y_sub.dtype)
+    y[idx] = y_sub
+    return y
+
+
+#: Dense-access sizes on either side of ``MIN_BLOCKED_N``: a partial
+#: tick gathers at 64 rows and steps in place at 128.
+COMPACT_N, IN_PLACE_N = MIN_BLOCKED_N // 2, MIN_BLOCKED_N
+
+
 class TestDensePartialOccupancyPath:
-    """Partial occupancy above ``masked_dense_min_occupancy``: the step
-    runs over the whole resident batch with the O(N^2) write phase
-    skipping inactive slots in place.  The path must be numerically
+    """Partial occupancy from ``MIN_BLOCKED_N`` rows: the step runs over
+    the whole resident batch with the O(N^2) write phase skipping
+    inactive slots in place.  The path must be numerically
     interchangeable with the compact gather path, keep inactive slots
     bitwise untouched, and slash the per-tick state movement."""
 
@@ -135,17 +166,17 @@ class TestDensePartialOccupancyPath:
         "dtype,tol", [("float64", 1e-10), ("float32", 1e-4)]
     )
     def test_dense_partial_matches_compact_path(self, dtype, tol, rng):
-        dense = make_engine(dtype=dtype, masked_dense_min_occupancy=0.0)
-        compact = make_engine(dtype=dtype, masked_dense_min_occupancy=1.0)
+        engine = make_engine(dtype=dtype, memory_size=IN_PLACE_N)
         b = 6
-        arena_dense = warmed_state(dense, rng, b)
+        arena_dense = warmed_state(engine, rng, b)
         arena_compact = copy_state(arena_dense)
         worst = 0.0
         for t in range(6):
             x = rng.standard_normal((b, 16)).astype(dtype)
             idx = np.asarray(rng.permutation(b)[: 1 + t % 5])
-            yd, _ = dense.step(x, arena_dense, active=idx)
-            yc, _ = compact.step(x, arena_compact, active=idx)
+            yd, _ = engine.step(x, arena_dense, active=idx)
+            assert engine.last_state_bytes_copied < arena_dense.row_nbytes
+            yc = gather_step_scatter(engine, x, arena_compact, idx)
             worst = max(worst, float(np.max(np.abs(yd - yc))))
             for name in NumpyDNCState.FIELDS:
                 worst = max(worst, float(np.max(np.abs(
@@ -158,7 +189,7 @@ class TestDensePartialOccupancyPath:
         assert worst <= tol
 
     def test_inactive_slots_bitwise_untouched_and_y_zero(self, rng):
-        engine = make_engine(masked_dense_min_occupancy=0.0)
+        engine = make_engine(memory_size=IN_PLACE_N)
         b = 5
         arena = warmed_state(engine, rng, b)
         snapshot = copy_state(arena)
@@ -177,7 +208,7 @@ class TestDensePartialOccupancyPath:
         move: the copy counter records one write per active row of the
         remaining fields — under half the compact path's two full-row
         copies."""
-        engine = make_engine(masked_dense_min_occupancy=0.0)
+        engine = make_engine(memory_size=IN_PLACE_N)
         b = 5
         arena = warmed_state(engine, rng, b)
         idx = np.array([2, 0])
@@ -193,24 +224,31 @@ class TestDensePartialOccupancyPath:
         assert engine.last_state_bytes_copied < 2 * idx.size * arena.row_nbytes
 
     def test_threshold_selects_the_path(self, rng):
-        """The occupancy fraction against ``masked_dense_min_occupancy``
-        decides gather vs dense — visible through the copy counter."""
-        b, k = 6, 3  # occupancy 0.5
-        idx = np.array([4, 0, 2])
-        below = make_engine(masked_dense_min_occupancy=0.75)
+        """``memory_size`` against ``MIN_BLOCKED_N`` (the rule
+        ``masked_dense_min_occupancy`` states) decides gather vs in
+        place at any partial occupancy — visible through the copy
+        counter."""
+        b, k = 6, 5  # occupancy 0.83: N decides, not occupancy
+        idx = np.array([4, 0, 2, 5, 1])
+        below = make_engine(memory_size=COMPACT_N)
+        assert below.config.masked_dense_min_occupancy == 1.0
         arena = warmed_state(below, rng, b)
         below.step(rng.standard_normal((b, 16)), arena, active=idx)
         assert below.last_state_bytes_copied == 2 * k * arena.row_nbytes
-        above = make_engine(masked_dense_min_occupancy=0.5)
+        above = make_engine(memory_size=IN_PLACE_N)
+        assert above.config.masked_dense_min_occupancy == 0.0
         arena = warmed_state(above, rng, b)
-        above.step(rng.standard_normal((b, 16)), arena, active=idx)
-        assert above.last_state_bytes_copied < 2 * k * arena.row_nbytes
+        above.step(rng.standard_normal((b, 16)), arena, active=idx[:1])
+        assert above.last_state_bytes_copied < arena.row_nbytes
+        sparse = below.config.with_features(
+            access_policy="sparse", access_top_k=8
+        )
+        assert sparse.masked_dense_min_occupancy == 0.0
 
     def test_distributed_engine_keeps_compact_path(self, rng):
-        """Below full occupancy DNC-D gathers and scatters: its stacked
-        kernels have no per-slot masked read, so only the all-active
-        tick steps the resident arrays in place."""
-        engine = make_engine(distributed=True, masked_dense_min_occupancy=0.0)
+        """Below ``MIN_BLOCKED_N`` rows a partial DNC-D tick gathers and
+        scatters, as a DNC one does: the rule has no DNC-D case."""
+        engine = make_engine(distributed=True, memory_size=COMPACT_N)
         b = 4
         arena = warmed_state(engine, rng, b)
         idx = np.array([1, 3, 0])
@@ -218,12 +256,12 @@ class TestDensePartialOccupancyPath:
         assert engine.last_state_bytes_copied == 2 * idx.size * arena.row_nbytes
 
     def test_dense_partial_traffic_scales_by_active_count(self, rng):
-        solo = make_engine()
+        solo = make_engine(memory_size=IN_PLACE_N)
         solo.traffic.clear()
         solo.step(rng.standard_normal(16), solo.initial_state())
         solo_words = solo.traffic.total_words()
 
-        engine = make_engine(masked_dense_min_occupancy=0.0)
+        engine = make_engine(memory_size=IN_PLACE_N)
         arena = engine.initial_state(batch_size=5)
         engine.traffic.clear()
         engine.step(
@@ -302,7 +340,7 @@ class _PhasePeaks:
 
 
 @pytest.mark.parametrize("backend", ["reference", "tuned"])
-@pytest.mark.parametrize("live", [13, 16])
+@pytest.mark.parametrize("live", [6, 11, 13, 16])
 def test_steady_state_dense_tick_allocates_no_slot_matrix(backend, live, rng):
     """The cliff this guards (ROADMAP's allocator finding: a per-tick
     temporary >= 128 KiB is a latent one): a ``linkage[idx]`` gather in

@@ -207,13 +207,13 @@ def test_churn_arena_matches_solo(dtype):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_churn_dense_partial_step_matches_solo(dtype):
-    """The same churn property with the dense-capacity masked step forced
-    on (``masked_dense_min_occupancy=0.0``): every partially-occupied
-    arena tick runs the in-place write phase over the full resident
-    batch."""
+    """The same churn property at ``kernels.MIN_BLOCKED_N`` memory rows,
+    where the masked step is in place at any occupancy: every
+    partially-occupied arena tick runs the in-place write phase over the
+    full resident batch."""
     schedule = make_schedule(np.random.default_rng(1234), ticks=80)
     assert_churn_matches_solo(
-        dtype, schedule, min_requests=50, masked_dense_min_occupancy=0.0
+        dtype, schedule, min_requests=50, memory_size=128
     )
 
 

@@ -185,14 +185,11 @@ def drive(engine, mode, rng):
 )
 @pytest.mark.parametrize("cell", list(CELLS))
 def test_every_observable_matches_the_literal_loops(cell, mode, max_events):
-    features = dict(CELLS[cell])
-    if mode == "dense_capacity":
-        features["masked_dense_min_occupancy"] = 0.1
-    elif mode == "compact":
-        features["masked_dense_min_occupancy"] = 1.0
+    # Partial dense ticks gather below kernels.MIN_BLOCKED_N rows and
+    # step in place from it.
     config = HiMAConfig(
-        memory_size=64, word_size=16, num_reads=2, num_tiles=8,
-        hidden_size=32, **features,
+        memory_size=128 if mode == "dense_capacity" else 64, word_size=16,
+        num_reads=2, num_tiles=8, hidden_size=32, **CELLS[cell],
     )
     engine = TiledEngine(config, rng=0, traffic_max_events=max_events)
     oracle = ListTrafficLog(config.num_tiles, max_events)
@@ -239,7 +236,7 @@ def test_steady_masked_ticks_build_no_events_until_read(monkeypatch):
     slots = 16
     state = engine.initial_state(batch_size=slots)
     for t in range(16):
-        live = (6, 9, 13, 16)[t % 4]  # compact, dense-capacity and full
+        live = (6, 9, 13, 16)[t % 4]  # partial and full, all in place
         engine.step(
             rng.standard_normal((slots, config.word_size)), state,
             active=np.sort(rng.choice(slots, size=live, replace=False)),
