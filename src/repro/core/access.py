@@ -11,9 +11,12 @@ retention/usage arithmetic, or any of the serving stack above it.
 
 Two policies:
 
-* :class:`DenseAccess` — the paper's path, verbatim.  The method bodies
-  are the exact kernel calls the engine ran before this layer existed,
-  so dense trajectories are bitwise-identical to the pre-refactor engine.
+* :class:`DenseAccess` — the paper's path, verbatim, for the DNC and
+  the DNC-D (paper Section 5.1), which is the DNC over ``Nt`` local
+  memory tiles whose reads merge with weight ``1/Nt``.  The policy runs
+  the step over ``(..., Nb, n[, ...])`` block views of the state: DNC-D
+  tiles, or the DNC's own arrays as its one block (no block axis, so the
+  2-D score kernels and the tuned ``?ger`` write path still apply).
 * :class:`SparseAccess` — Rae et al.-style sparse access memory: top-K
   content addressing, top-K allocation (the ``skim_fraction``
   argpartition idiom generalized), a K-row sparse write/linkage kernel
@@ -41,6 +44,8 @@ sparse-access HiMA tile array would move.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,6 +89,18 @@ class AccessPolicy:
     #: engine steps every masked tick in place, whatever the occupancy).
     is_sparse = False
     name = "dense"
+    #: Memory blocks a step runs over: DNC-D's ``Nt`` tiles, else one.
+    blocks = 1
+
+    def to_blocks(self, state, interface):
+        """``(state, interface)`` with the N-scaling fields as ``(..., Nb,
+        n[, ...])`` views and a broadcast block axis on the interface
+        fields that meet them; as they are at one block."""
+        return state, interface
+
+    def from_blocks(self, engine, state, local):
+        """The new state ``local`` in the full layout (as-is at one block)."""
+        return local
 
     def write_content(self, engine, state, interface):
         """Content-based write weighting ``(..., N)`` from the write key."""
@@ -149,25 +166,87 @@ class AccessPolicy:
             read_linkage_passes=(
                 2 if self.is_sparse else engine.backend.read_linkage_passes
             ),
+            blocks=self.blocks,
         )
         return b * per_slot * np.dtype(cfg.np_dtype).itemsize
 
 
 class DenseAccess(AccessPolicy):
-    """The paper's dense addressing path, verbatim.
+    """The paper's dense addressing path, verbatim, over ``Nb`` blocks.
 
-    Each method body is the exact code (kernel calls and ufunc order)
-    that lived inline in
-    ``TiledEngine._step_dnc`` before the policy layer: dense
-    trajectories are bitwise-identical to the pre-refactor engine at
-    equal dispatch order.
+    ``Nb = Nt`` under DNC-D, else 1.  Per block every phase is the
+    DNC's, along the block's ``n`` rows with its own ``n x n`` linkage
+    (DNC-D's global linkage keeps only these diagonal blocks), and the
+    ``Nb`` read vectors merge with weight ``1/Nb`` (the trained ``alpha``
+    lives in :class:`repro.dnc.distributed.DNCD`).
     """
 
-    is_sparse = False
-    name = "dense"
+    def __init__(self, config: HiMAConfig):
+        self.blocks = config.num_tiles if config.distributed else 1
+        # Masked reads loop over the active slots, which costs more than
+        # reading the whole batch below MIN_BLOCKED_N rows per block.
+        n = config.memory_size // self.blocks
+        self._reads_per_slot = n >= SK.MIN_BLOCKED_N
+
+    def to_blocks(self, state, interface):
+        nb = self.blocks
+        if nb == 1:
+            return state, interface
+        local = replace(
+            state,
+            memory=SK.shard_matrix(state.memory, nb),
+            usage=SK.shard_vector(state.usage, nb),
+            precedence=SK.shard_vector(state.precedence, nb),
+            linkage=SK.block_diagonal(state.linkage, nb),
+            write_w=SK.shard_vector(state.write_w, nb),
+            read_w=SK.shard_heads(state.read_w, nb),
+        )
+
+        # Batched gates are (B, 1) and need the block axis; unbatched
+        # ones are plain floats and broadcast as they are.
+        def gate(g):
+            return g[..., None] if isinstance(g, np.ndarray) else g
+
+        return local, replace(
+            interface,
+            read_strengths=interface.read_strengths[..., None, :],
+            write_strength=gate(interface.write_strength),
+            erase=interface.erase[..., None, :],
+            write_vector=interface.write_vector[..., None, :],
+            free_gates=interface.free_gates[..., None, :],
+            allocation_gate=gate(interface.allocation_gate),
+            write_gate=gate(interface.write_gate),
+            read_modes=interface.read_modes[..., None, :, :],
+        )
+
+    def from_blocks(self, engine, state, local):
+        if self.blocks == 1:
+            return local
+        # In place, the write phase wrote through the block views.
+        fresh = engine._fused_active is None
+        return replace(
+            local,
+            memory=SK.unshard_matrix(local.memory) if fresh else state.memory,
+            usage=SK.unshard_vector(local.usage),
+            precedence=(
+                SK.unshard_vector(local.precedence) if fresh
+                else state.precedence
+            ),
+            linkage=(
+                SK.scatter_block_diagonal(local.linkage) if fresh
+                else state.linkage
+            ),
+            write_w=SK.unshard_vector(local.write_w),
+            read_w=SK.unshard_heads(local.read_w),
+        )
 
     def write_content(self, engine, state, interface):
-        scores = engine.backend.write_scores(state.memory, interface.write_key)
+        # Tiles score with the stacked einsum kernels; one block keeps
+        # the 2-D ones (they differ in the last bit, enough to flip a
+        # usage near-tie).
+        be = engine.backend
+        scores = (be.stacked_write_scores if self.blocks > 1
+                  else be.write_scores)(state.memory, interface.write_key)
         return engine._softmax(interface.write_strength * scores)
 
     def allocation(self, engine, usage):
@@ -192,7 +271,9 @@ class DenseAccess(AccessPolicy):
         )
 
     def read_content(self, engine, memory, interface):
-        rscores = engine.backend.read_scores(memory, interface.read_keys)
+        be = engine.backend
+        rscores = (be.stacked_read_scores if self.blocks > 1
+                   else be.read_scores)(memory, interface.read_keys)
         return engine._softmax(
             interface.read_strengths[..., None] * rscores, axis=-1
         )
@@ -201,7 +282,8 @@ class DenseAccess(AccessPolicy):
         # Reference: one stacked matmul pair; tuned: a fused single-pass
         # panel sweep (the profiler's bytes column follows the backend).
         return engine.backend.forward_backward(
-            linkage, prev_read_w, active=engine._fused_active
+            linkage, prev_read_w,
+            active=engine._fused_active if self._reads_per_slot else None,
         )
 
     def read_weights(self, engine, content_r, fwd, bwd, read_modes):
@@ -210,9 +292,14 @@ class DenseAccess(AccessPolicy):
     def read_vectors(self, engine, memory, read_w):
         # Under the masked dense step the inactive slots' reads are
         # discarded by the scatter, so the backend may skip them.
-        return engine.backend.read_vectors(
-            memory, read_w, active=engine._fused_active
+        reads = engine.backend.read_vectors(
+            memory, read_w,
+            active=engine._fused_active if self._reads_per_slot else None,
         )
+        if self.blocks > 1:
+            # Eq. (4) with uniform alpha: the blocks' reads merge at the CT.
+            reads = (reads / self.blocks).sum(axis=-3)
+        return reads
 
 
 class SparseAccess(AccessPolicy):
@@ -354,7 +441,7 @@ def make_access_policy(config: HiMAConfig) -> AccessPolicy:
     """Instantiate the policy named by ``config.access_policy``."""
     if config.access_policy == "sparse":
         return SparseAccess(config)
-    return DenseAccess()
+    return DenseAccess(config)
 
 
 __all__ = [

@@ -10,8 +10,10 @@ construction and by test — identical to the monolithic reference DNC
 In distributed (DNC-D) mode every tile runs the complete soft write/read
 on its local shard only; the engine verifies the *no inter-PT traffic*
 property that gives DNC-D its near-ideal scaling (paper Section 5.1).
-The DNC-D hot path is fully vectorized: the tile loop is folded into a
-leading axis and executed as stacked einsum/matmul kernels
+DNC-D is the DNC with ``Nt`` memory blocks instead of one, so both run
+one step body: the access policy views the state over a block axis
+(:meth:`repro.core.access.AccessPolicy.to_blocks`) and every kernel runs
+once over all tiles, as a stacked einsum/matmul
 (:mod:`repro.core.kernels`).
 
 Batching: every step path accepts a leading batch dimension.
@@ -32,7 +34,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import kernels as SK  # stacked shard kernels
 from repro.core.access import make_access_policy
 from repro.core.backend import make_backend
 from repro.core.config import HiMAConfig
@@ -43,7 +44,7 @@ from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig, NumpyDNCState
 from repro.errors import ConfigError, SimulationError
 from repro.hw.sorters import TwoStageSorter
 from repro.noc.packet import Message
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, new_rng
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,8 @@ class TiledEngine:
         )
         #: Weight container + monolithic reference semantics.
         self.reference = NumpyDNC(ref_config, rng=rng)
+        #: The configured softmax (exact, or the approximate unit).
+        self._softmax = self.reference._softmax
         #: Every step's inter-tile messages, fixed by the config and the
         #: memory map: a step records it once, scaled by its slot count.
         self._traffic_template = self.memory_map.step_traffic(
@@ -309,8 +312,8 @@ class TiledEngine:
         object.  The returned ``y`` is ``(B, output_size)`` with
         inactive rows zero.  Under sparse access, and from
         :data:`repro.core.kernels.MIN_BLOCKED_N` memory rows under dense
-        access (DNC and DNC-D alike), every masked step is the in-place
-        form: the cheap per-row kernels run over the whole resident
+        access (DNC and DNC-D: one step body), every masked step is the
+        in-place form: the cheap per-row kernels run over the whole resident
         batch and the O(N^2) write phase advances the active slots where
         they live, so the N^2 fields never move and only the small
         per-row fields of the active slots are scattered back — and when
@@ -329,16 +332,6 @@ class TiledEngine:
         if active is not None:
             return self._step_masked(x, state, active)
         return self._step_plain(x, state)
-
-    def _step_plain(
-        self, x: np.ndarray, state: NumpyDNCState
-    ) -> Tuple[np.ndarray, NumpyDNCState]:
-        if self.config.distributed:
-            y, new_state = self._step_distributed(x, state)
-        else:
-            y, new_state = self._step_dnc(x, state)
-        self.traffic.record(self._traffic_template, self._slots(x.shape[:-1]))
-        return y, new_state
 
     def _step_masked(
         self, x: np.ndarray, state: NumpyDNCState, active: np.ndarray
@@ -399,25 +392,16 @@ class TiledEngine:
         """Masked step over the full resident batch, write phase in place.
 
         The whole capacity-``B`` batch steps with zero gathers: the
-        O(N^2) write phase advances the active slots *in place*
-        (:func:`repro.core.kernels.fused_erase_write_linkage_inplace`, or
-        :func:`repro.core.kernels.sparse_erase_write_linkage_inplace`
-        under sparse access), the masked read kernels contract only the
-        active slots, and only the small per-row state fields are
-        scattered back — or, at full occupancy, rebound (every row is
-        new, so nothing is copied).  Inactive slots stay bitwise
-        untouched, inactive ``y`` rows are zero, and traffic words scale
-        by the active count — the same contract as the compact form, at
-        :attr:`last_state_bytes_copied` cost of one write per active row
-        of the non-resident fields (the N^2 fields never move).
-
-        Every masked step of a sparse engine, or of an engine with at
-        least :data:`repro.core.kernels.MIN_BLOCKED_N` memory rows, comes
-        here (DNC-D writes through the stacked shard *views* of the
-        resident arrays and computes, then discards, its stacked reads
-        for the inactive slots); smaller dense engines come here at full
-        occupancy, and :meth:`run_batch` is this step with every slot
-        active.
+        O(N^2) write phase advances the active slots *in place* (DNC-D
+        through its block views), the read kernels from
+        :data:`repro.core.kernels.MIN_BLOCKED_N` rows per block contract
+        only the active slots, and only the small per-row state fields
+        are scattered back — or, at full occupancy, rebound (nothing is
+        copied).  Inactive slots stay bitwise untouched, inactive ``y``
+        rows are zero, and traffic words scale by the active count — the
+        compact form's contract, at :attr:`last_state_bytes_copied` cost
+        of one write per active row of the non-resident fields.
+        :meth:`run_batch` is this step with every slot active.
         """
         b = state.batch_size
         full = idx.size == b
@@ -448,12 +432,6 @@ class TiledEngine:
             mask[idx] = True
             y[~mask] = 0.0
         return y, state
-
-    def _slots(self, lead: Tuple[int, ...]) -> int:
-        """Slots this step advances — the traffic and bytes multiplier:
-        the active count under the dense masked step, else the lead batch."""
-        active = self._fused_active
-        return math.prod(lead) if active is None else int(active.size)
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
         """Run a ``(T, input_size)`` sequence; returns ``(T, output_size)``.
@@ -501,12 +479,22 @@ class TiledEngine:
         return outputs
 
     # ------------------------------------------------------------------
-    # DNC mode: exact sharded execution
+    # The step body: DNC and DNC-D over the access policy's blocks
     # ------------------------------------------------------------------
-    def _step_dnc(
+    def _step_plain(
         self, x: np.ndarray, state: NumpyDNCState
     ) -> Tuple[np.ndarray, NumpyDNCState]:
-        b = self._slots(x.shape[:-1])
+        """The one step body of every step form; logs the step's traffic.
+
+        Out of place it returns fresh arrays.  Under the masked in-place
+        step (``self._fused_active`` set) the write phase advances
+        ``state.memory`` / ``linkage`` / ``precedence`` where they live
+        and the new state carries those arrays themselves.
+        """
+        # Slots advanced — the traffic and bytes multiplier: the active
+        # count under the masked in-place step, else the lead batch.
+        active = self._fused_active
+        b = math.prod(x.shape[:-1]) if active is None else int(active.size)
         access = self.access
         # Per-phase profiling seam: off (None) by default, near-zero when
         # on — each enabled phase costs one perf_counter call and a dict
@@ -520,19 +508,17 @@ class TiledEngine:
         if prof is not None:
             tp = prof.lap("controller", tp, access.bytes_touched("controller", self, b))
 
-        # The row-wise partition makes every per-slot kernel's shard
-        # computation bit-equal to the whole-array form (normalization,
-        # retention, usage, erase/write are all row-local), so the hot
-        # path runs each kernel once over all rows — batched, that is one
-        # stacked matmul instead of Nt small ones — while the per-tile
-        # dataflow is the step's traffic template.  Every phase whose
-        # cost scales with N is delegated to the configured access policy
-        # (dense = the paper's verbatim path; sparse = top-K addressing);
-        # the exact O(N) elementwise pieces — retention, usage, weight
-        # merges — stay here, shared by both.
+        # Each kernel runs once over all rows (the per-tile dataflow is
+        # the step's traffic template).  DNC-D is the DNC over Nt memory
+        # blocks: ``to_blocks`` views its state as (..., Nt, n[, ...])
+        # tile stacks, and leaves the DNC's (one block) as it is.  The
+        # phases whose cost scales with N belong to the access policy;
+        # the exact O(N) elementwise ones (retention, usage, weight
+        # merges) stay here.
+        local, interface = access.to_blocks(state, interface)
 
         # --- Content-based write weighting (normalize + similarity). -----
-        content_w = access.write_content(self, state, interface)
+        content_w = access.write_content(self, local, interface)
         if prof is not None:
             tp = prof.lap(
                 "content_addressing", tp,
@@ -540,8 +526,8 @@ class TiledEngine:
             )
 
         # --- History-based write weighting (fully row-local). -------------
-        psi = K.retention(interface.free_gates, state.read_w)
-        usage = K.usage_update(state.usage, state.write_w, psi)
+        psi = K.retention(interface.free_gates, local.read_w)
+        usage = K.usage_update(local.usage, local.write_w, psi)
 
         alloc = access.allocation(self, usage)
 
@@ -556,7 +542,7 @@ class TiledEngine:
 
         # --- Write phase: erase+write, linkage, precedence. ---------------
         memory, linkage, precedence = access.write_phase(
-            self, state, write_w, interface
+            self, local, write_w, interface
         )
         if prof is not None:
             tp = prof.lap(
@@ -573,7 +559,7 @@ class TiledEngine:
             )
 
         # --- Forward-backward over the linkage blocks. ---------------------
-        fwd, bwd = access.forward_backward(self, linkage, state.read_w)
+        fwd, bwd = access.forward_backward(self, linkage, local.read_w)
 
         read_w = access.read_weights(
             self, content_r, fwd, bwd, interface.read_modes
@@ -585,24 +571,22 @@ class TiledEngine:
             tp = prof.lap("read", tp, access.bytes_touched("read", self, b))
 
         y = self._output(lstm_h, read_vecs)
-        new_state = NumpyDNCState(
+        new_state = access.from_blocks(self, state, NumpyDNCState(
             memory=memory, usage=usage, precedence=precedence, linkage=linkage,
             write_w=write_w, read_w=read_w, read_vecs=read_vecs,
             lstm_h=lstm_h, lstm_c=lstm_c,
-        )
+        ))
         if prof is not None:
             prof.lap("output", tp, access.bytes_touched("output", self, b))
+        self.traffic.record(self._traffic_template, b)
         return y, new_state
 
     # ------------------------------------------------------------------
+    # Shared helpers
+    # ------------------------------------------------------------------
     def _usage_sort(self, usage: np.ndarray) -> np.ndarray:
-        """Sorted order via the configured sorter.
-
-        ``usage`` is ``(N,)`` or batched ``(B, N)``; the returned order has
-        the same shape.  Both the two-stage sorter and the skimmed order
-        are batch-vectorized, so no path here loops over batch elements
-        in Python.
-        """
+        """The allocation order of ``usage`` ``(..., n)`` along its last
+        axis; every sorter here is batch-vectorized (no Python row loop)."""
         cfg = self.config
         if cfg.skim_fraction > 0.0:
             return skimmed_sort_order(usage, cfg.skim_fraction)
@@ -610,125 +594,6 @@ class TiledEngine:
             return self.sorter.sort(usage)[1]
         return self.backend.argsort(usage)
 
-    # ------------------------------------------------------------------
-    # DNC-D mode: purely local tiles, fully stacked
-    # ------------------------------------------------------------------
-    def _step_distributed(
-        self, x: np.ndarray, state: NumpyDNCState
-    ) -> Tuple[np.ndarray, NumpyDNCState]:
-        """DNC-D: every tile updates only its shard; reads merge at the CT.
-
-        The global linkage matrix keeps only the block-diagonal (each
-        tile's local ``n x n`` linkage); read vectors merge with uniform
-        weights (the trainable ``alpha`` lives in the learned model,
-        :class:`repro.dnc.distributed.DNCD`).
-
-        The per-tile loop is folded into a leading stack axis: every
-        kernel runs once over ``(..., Nt, n)`` shards as a stacked
-        einsum/matmul (see :mod:`repro.core.kernels`), under an optional
-        leading batch axis.
-
-        **In place** (``self._fused_active`` set by the masked in-place
-        step): the stacked shard operands of the fused write
-        kernel are *views* of the state arrays, so the in-place kernel
-        run on them advances ``state.memory`` / ``linkage`` /
-        ``precedence`` where they live — nothing is staged, scattered or
-        allocated at N^2, and the returned state carries those three
-        arrays themselves.  Only diagonal blocks are ever read or
-        written; DNC-D linkage has no off-block mass.
-        """
-        cfg = self.config
-        nt = cfg.num_tiles
-
-        lstm_h, lstm_c, interface = self._controller(x, state)
-
-        # Stack row-wise shards along a tile axis: (..., Nt, n[, W]).
-        local_mem = SK.shard_matrix(state.memory, nt)
-        local_usage_prev = SK.shard_vector(state.usage, nt)
-        local_write_prev = SK.shard_vector(state.write_w, nt)
-        local_prec_prev = SK.shard_vector(state.precedence, nt)
-        local_read_prev = SK.shard_heads(state.read_w, nt)
-        local_link_prev = SK.block_diagonal(state.linkage, nt)
-
-        # Batched gates need a broadcast tile axis; unbatched ones are
-        # plain floats and broadcast as-is.
-        def gate(g):
-            return g[..., None] if isinstance(g, np.ndarray) else g
-
-        scores = self.backend.stacked_write_scores(
-            local_mem, interface.write_key
-        )
-        content_w = self._softmax(gate(interface.write_strength) * scores)
-
-        psi = K.retention(interface.free_gates[..., None, :], local_read_prev)
-        local_usage = K.usage_update(local_usage_prev, local_write_prev, psi)
-        if cfg.skim_fraction > 0.0:
-            order = skimmed_sort_order(local_usage, cfg.skim_fraction)
-        else:
-            order = self.backend.argsort(local_usage)
-        alloc = K.allocation_from_order(local_usage, order)
-        local_write_w = K.write_weight_merge(
-            content_w, alloc,
-            gate(interface.write_gate), gate(interface.allocation_gate),
-        )
-        write_args = (
-            local_mem, local_link_prev, local_prec_prev, local_write_w,
-            interface.erase[..., None, :], interface.write_vector[..., None, :],
-        )
-        in_place = self._fused_active is not None
-        if in_place:
-            self.backend.fused_erase_write_linkage_inplace(
-                *write_args, active=self._fused_active
-            )
-            local_new_mem, local_link, local_prec = write_args[:3]
-        else:
-            local_new_mem, local_link, local_prec = (
-                self.backend.fused_erase_write_linkage(*write_args)
-            )
-
-        local_rscores = self.backend.stacked_read_scores(
-            local_new_mem, interface.read_keys
-        )
-        local_content_r = self._softmax(
-            interface.read_strengths[..., None, :, None] * local_rscores, axis=-1
-        )
-        local_fwd, local_bwd = self.backend.forward_backward(
-            local_link, local_read_prev
-        )
-        local_read_w = self.backend.read_weight_mix(
-            local_content_r, local_fwd, local_bwd,
-            interface.read_modes[..., None, :, :],
-        )
-        local_reads = self.backend.read_vectors(local_new_mem, local_read_w)
-
-        # Eq. (4) with uniform alpha: the engine models dataflow, the
-        # trained alpha lives in repro.dnc.distributed.DNCD.
-        read_vecs = (local_reads / nt).sum(axis=-3)
-
-        y = self._output(lstm_h, read_vecs)
-        if in_place:
-            memory, linkage, precedence = (
-                state.memory, state.linkage, state.precedence
-            )
-        else:
-            memory = SK.unshard_matrix(local_new_mem)
-            linkage = SK.scatter_block_diagonal(local_link)
-            precedence = SK.unshard_vector(local_prec)
-        new_state = NumpyDNCState(
-            memory=memory,
-            usage=SK.unshard_vector(local_usage),
-            precedence=precedence,
-            linkage=linkage,
-            write_w=SK.unshard_vector(local_write_w),
-            read_w=SK.unshard_heads(local_read_w),
-            read_vecs=read_vecs,
-            lstm_h=lstm_h, lstm_c=lstm_c,
-        )
-        return y, new_state
-
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
     def _controller(self, x: np.ndarray, state: NumpyDNCState):
         ref = self.reference
         h = ref.config.hidden_size
@@ -754,12 +619,6 @@ class TiledEngine:
             [lstm_h, read_vecs.reshape(lstm_h.shape[:-1] + (-1,))], axis=-1
         )
         return output_in @ ref.w_y + ref.b_y
-
-    def _softmax(self, scores: np.ndarray, axis: int = -1) -> np.ndarray:
-        approx = self.reference.config.softmax_approx
-        if approx is not None:
-            return approx.softmax(scores, axis=axis)
-        return K.exact_softmax(scores, axis=axis)
 
     #: Per-dtype bars for :meth:`verify_against_reference`: float64
     #: keeps the historical 1e-9; float32 accumulates ~1e-7 relative
@@ -789,8 +648,6 @@ class TiledEngine:
         which defaults to the dtype policy's entry in
         :attr:`VERIFY_TOLERANCES`.
         """
-        from repro.utils.rng import new_rng
-
         if tol is None:
             tol = self.VERIFY_TOLERANCES[self.config.dtype]
         gen = new_rng(rng)

@@ -48,7 +48,7 @@ from repro.dnc.instrumentation import KernelCategory
 
 def phase_touched_bytes(
     phase: str, *, n: int, w: int, r: int, rows: int, hidden: int,
-    read_linkage_passes: int = 2,
+    read_linkage_passes: int = 2, blocks: int = 1,
 ) -> int:
     """Elements touched by one engine-step phase for one batch slot.
 
@@ -65,7 +65,11 @@ def phase_touched_bytes(
     1 when a backend fuses both sweeps into a single pass over the
     linkage (``KernelBackend.read_linkage_passes`` reports what the
     selected backend actually does).
+
+    ``blocks`` counts the linkage blocks (DNC-D's ``Nt``, the DNC's
+    one): a row's linkage support spans its own block only.
     """
+    span = n // blocks
     if phase == "controller":
         # LSTM gate blocks over the hidden state.
         return 8 * hidden
@@ -78,10 +82,10 @@ def phase_touched_bytes(
     if phase == "erase_write_linkage":
         # Linkage rows+columns of the support, written memory rows,
         # precedence.
-        return 2 * n * rows + rows * w + 2 * n
+        return 2 * span * rows + rows * w + 2 * n
     if phase == "read":
         # Forward/backward over the linkage support + weighted read.
-        return read_linkage_passes * n * rows + r * rows * w + r * n
+        return read_linkage_passes * span * rows + r * rows * w + r * n
     if phase == "output":
         return hidden + r * w
     return 0
@@ -679,10 +683,6 @@ class KernelSpec:
     state_mem_accesses: Callable[[HiMAConfig], int]
     ops: Callable[[HiMAConfig], int]
     noc_words: Callable[[HiMAConfig], float]
-
-
-def _linkage_grid(config: HiMAConfig) -> Tuple[int, int]:
-    return config.linkage_partition
 
 
 def _no_traffic(config: HiMAConfig) -> float:

@@ -2,7 +2,7 @@
 
 :class:`KernelRecorder` accumulates, per named kernel: call count,
 arithmetic op count, external-memory accesses, state-memory accesses, and
-wall-clock seconds.  Every kernel belongs to a :class:`KernelCategory`
+CPU seconds.  Every kernel belongs to a :class:`KernelCategory`
 (the five slices of the paper's Figure 4 pie charts).
 """
 
@@ -95,12 +95,19 @@ class KernelRecorder:
     def measure(
         self, kernel: str, ops: int = 0, ext_mem: int = 0, state_mem: int = 0
     ) -> Iterator[None]:
-        """Time a block and record it against ``kernel``."""
-        start = time.perf_counter()
+        """Time a block and record it against ``kernel``.
+
+        The clock is the calling thread's CPU time, not wall-clock: a
+        kernel's share of the run then does not move when another
+        process takes the CPU while the block runs.  (Process CPU time
+        would: it also counts BLAS helper threads spinning after a call,
+        into whichever block runs next.)
+        """
+        start = time.thread_time()
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
+            elapsed = time.thread_time() - start
             self.add(kernel, ops=ops, ext_mem=ext_mem, state_mem=state_mem,
                      seconds=elapsed)
 

@@ -2,9 +2,9 @@
 
 The CPU column is *measured live* on this machine: the instrumented numpy
 DNC (paper configuration ``N x W = 1024 x 64``, LSTM 256) runs synthetic
-bAbI episodes and reports per-category wall-clock shares.  The GPU column
-is the paper's published breakdown (no GPU is available offline; see
-DESIGN.md substitutions).
+bAbI episodes and reports per-category shares of its CPU time.  The GPU
+column is the paper's published breakdown (no GPU is available offline;
+see DESIGN.md substitutions).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def run(
         ])
     memory_unit_share = 100.0 * (1.0 - fractions[KernelCategory.NN_LSTM])
     notes = [
-        f"measured {ms_per_test:.2f} ms/test over {num_episodes} episodes "
+        f"measured {ms_per_test:.2f} CPU ms/test over {num_episodes} episodes "
         f"({total_steps} timesteps); paper CPU {PAPER_CPU_MS_PER_TEST} "
         f"ms/test, GPU {PAPER_GPU_MS_PER_TEST} ms/test",
         f"memory unit share of runtime: {memory_unit_share:.1f}% measured "

@@ -11,7 +11,6 @@ sweep — both extremes are suboptimal; the optimum is the near-square grid
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.core.partition import (
@@ -22,11 +21,6 @@ from repro.core.partition import (
 from repro.eval.runners import ExperimentResult, register
 
 DEFAULT_TILE_COUNTS = (4, 16, 32, 48, 64)
-
-
-def _power_of_two_widths(num_tiles: int) -> Sequence[int]:
-    """Nt_w sweep values: powers of two dividing ``num_tiles``."""
-    return [w for w in (1, 2, 4, 8, 16, 32, 64) if num_tiles % w == 0 and w <= num_tiles]
 
 
 @register("fig6c")

@@ -33,8 +33,8 @@ from typing import Dict, Mapping, Optional
 #: order.  ``gather_scatter`` covers masked-step state staging: the
 #: per-row field scatter of the in-place form, or the whole-row
 #: gather/scatter of the compact form (partial ticks of dense engines
-#: below ``kernels.MIN_BLOCKED_N`` rows only); the rest are the DNC
-#: phase sequence of ``TiledEngine._step_dnc``.
+#: below ``kernels.MIN_BLOCKED_N`` rows only); the rest are the phase
+#: sequence of the engine's one step body (DNC and DNC-D alike).
 PHASES = (
     "controller",
     "content_addressing",

@@ -195,6 +195,37 @@ def test_tuned_without_ger_is_the_reference_write_phase(rng, monkeypatch):
         assert np.array_equal(inplace, want)
 
 
+@pytest.mark.skipif(
+    "<f8" not in backend_module._GER, reason="the tuned ?ger needs scipy"
+)
+@pytest.mark.parametrize("form", ["out_of_place", "masked_in_place"])
+@pytest.mark.parametrize("n", [SK.MIN_BLOCKED_N, 2 * SK.MIN_BLOCKED_N])
+def test_tuned_dnc_step_writes_through_ger(n, form, monkeypatch):
+    """A tuned DNC step from ``MIN_BLOCKED_N`` rows accumulates its
+    linkage panels with BLAS ``?ger``: an operand shape that turns the
+    rank-1 path off (an inner lead axis, a non-contiguous panel) shows
+    nowhere but in speed, so the calls are counted here."""
+    calls = []
+    dger = backend_module._GER["<f8"]
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dger(*args, **kwargs)
+
+    monkeypatch.setitem(backend_module._GER, "<f8", counting)
+    engine = TiledEngine(HiMAConfig(
+        memory_size=n, word_size=16, num_reads=2, num_tiles=4,
+        hidden_size=32, backend="tuned", dtype="float64",
+    ), rng=0)
+    state = engine.initial_state(batch_size=4)
+    x = np.random.default_rng(0).standard_normal((4, 16))
+    if form == "out_of_place":
+        engine.step(x, state)
+    else:
+        engine.step(x, state, active=np.array([0, 2]))
+    assert calls
+
+
 class TestEngineIntegration:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("distributed", [False, True], ids=["dnc", "dncd"])

@@ -238,6 +238,32 @@ class TestPhaseTimer:
         assert attributed >= 0.90 * wall
         engine.profiler = None
 
+    def test_dncd_step_laps_every_phase_and_counts_its_blocks(self):
+        """DNC-D runs the DNC's step body, so it laps the same six
+        phases; its N^2 phases count the Nt local ``n x n`` linkage
+        blocks a tile holds, i.e. 1/Nt of the DNC's figure."""
+        stats = {}
+        for distributed in (False, True):
+            config = serve_config(
+                memory_size=64, word_size=8, num_reads=2, num_tiles=4,
+                distributed=distributed,
+            )
+            engine = TiledEngine(config, rng=SEED)
+            engine.profiler = PhaseTimer()
+            state = engine.initial_state(batch_size=2)
+            engine.step(np.zeros((2, config.word_size)), state)
+            stats[distributed] = engine.profiler.stats()
+        assert set(stats[True]) == set(PHASES) - {"gather_scatter"}
+        n, nt, b, item = 64, 4, 2, 8
+        passes = engine.backend.read_linkage_passes
+        for phase, link_cells in (
+            ("erase_write_linkage", 2 * n * n), ("read", passes * n * n),
+        ):
+            other = stats[False][phase]["bytes"] - b * item * link_cells
+            assert stats[True][phase]["bytes"] == (
+                other + b * item * link_cells // nt
+            )
+
 
 # ---------------------------------------------------------------------------
 # FlightRecorder units
