@@ -20,7 +20,8 @@ Two backends ship:
   shared row-major kernels, held to the same oracle.
 * ``tuned`` — the same write sweep plus what is genuinely different:
   a BLAS ``?ger`` rank-1 accumulate per linkage panel (scipy present,
-  ``N >= MIN_BLOCKED_N``), cosine scores with the row norms factored
+  ``N >= MIN_BLOCKED_N``; scipy is imported when a tuned backend is
+  built, see :func:`_ger_table`), cosine scores with the row norms factored
   out of the matmul, a fused single-pass forward/backward and a
   scratch-resident read-weight mix.  Versus ``reference`` on identical
   inputs: **memory, precedence and the read-weight mix are always
@@ -44,18 +45,38 @@ from repro.core import kernels as SK
 from repro.dnc import numpy_ref as K
 from repro.errors import ConfigError
 
-try:  # Optional accelerant: BLAS rank-1 update for the tuned linkage
-    from scipy.linalg import blas as _scipy_blas  # sweep.  Without scipy
-except ImportError:  # the tuned write phase is the reference one: the
-    _scipy_blas = None  # shared sweep's multiply-plus-add, bit for bit.
 
-#: BLAS ``?ger`` routines by dtype for the tuned backend's rank-1
-#: linkage accumulation.  Only the exact-match single/double routines
-#: are used — ``get_blas_funcs`` would silently upcast other dtypes
-#: through a copy, defeating the in-place update.
-_GER = {}
-if _scipy_blas is not None:
-    _GER = {"<f4": _scipy_blas.sger, "<f8": _scipy_blas.dger}
+def _ger_table() -> Dict[str, Callable]:
+    """The module's ``_GER``: BLAS ``?ger`` routines by dtype for the
+    tuned backend's rank-1 linkage accumulation, loaded on first use.
+
+    scipy is an optional accelerant with a large import footprint, so
+    it is imported here — when a :class:`TunedBackend` is built or
+    ``_GER`` is first read — and never by a reference engine.  Without scipy the table is empty and
+    the tuned write phase is the reference one: the shared sweep's
+    multiply-plus-add, bit for bit.  Only the exact-match single/double
+    routines are used — ``get_blas_funcs`` would silently upcast other
+    dtypes through a copy, defeating the in-place update.  Once loaded
+    the table is a plain module global, so replacing or emptying
+    ``_GER`` changes what the next lookup sees.
+    """
+    table = globals().get("_GER")
+    if table is None:
+        try:
+            from scipy.linalg import blas
+        except ImportError:
+            table = {}
+        else:
+            table = {"<f4": blas.sger, "<f8": blas.dger}
+        globals()["_GER"] = table
+    return table
+
+
+def __getattr__(name: str):
+    if name == "_GER":
+        return _ger_table()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "KernelBackend",
@@ -86,11 +107,13 @@ class KernelBackend:
     #: Registry name; set by subclasses.
     name = "abstract"
 
-    #: How many times this backend's read phase streams the linkage
-    #: support: 2 for the separate forward + backward matvecs, 1 for a
-    #: fused single-pass sweep.  Feeds the
+    #: How many times the read phase streams the linkage support: 2 for
+    #: the separate forward + backward matvecs, 1 for a fused
+    #: single-pass sweep.  A backend whose :meth:`forward_backward`
+    #: picks its kernel per call shape sets it on every call, so it
+    #: names the kernel that last ran.  Feeds the
     #: :func:`repro.core.kernels.phase_touched_bytes` read model so the
-    #: profiler's bytes column reflects what the kernel actually moves.
+    #: profiler's bytes column reflects what the kernel actually moved.
     read_linkage_passes = 2
 
     def __init__(self):
@@ -367,13 +390,19 @@ class TunedBackend(ReferenceBackend):
     """
 
     name = "tuned"
-    #: The fused forward/backward sweep streams the linkage once.
+    #: The fused forward/backward sweep streams the linkage once; a call
+    #: that falls back to the reference pair sets 2 (see
+    #: :meth:`forward_backward`).
     read_linkage_passes = 1
+
+    def __init__(self):
+        super().__init__()
+        _ger_table()  # scipy loads at engine build, not in a timed step
 
     def _ger(self, linkage):
         if linkage.shape[-1] < SK.MIN_BLOCKED_N:
             return None
-        return _GER.get(linkage.dtype.str)
+        return _ger_table().get(linkage.dtype.str)
 
     # -- content addressing ------------------------------------------------
     # Factored cosine scores: the reference materializes a full
@@ -429,7 +458,9 @@ class TunedBackend(ReferenceBackend):
             or n < SK.MIN_BLOCKED_N
             or not (linkage.flags.c_contiguous and read_w.flags.c_contiguous)
         ):
+            self.read_linkage_passes = 2
             return super().forward_backward(linkage, read_w, active=active)
+        self.read_linkage_passes = 1
         r = read_w.shape[-2]
         lin3 = linkage.reshape((-1, n, n))
         rw3 = read_w.reshape((-1, r, n))

@@ -107,8 +107,8 @@ class HiMAConfig:
             if self.distributed:
                 raise ConfigError(
                     "access_policy='sparse' is incompatible with the "
-                    "distributed (DNC-D) model: the stacked tile kernels "
-                    "view-shard the state dense"
+                    "distributed (DNC-D) model: sparse access runs over "
+                    "one memory block, and DNC-D needs one per tile"
                 )
             if self.skim_fraction > 0.0:
                 raise ConfigError(

@@ -40,6 +40,7 @@ from repro.core.config import HiMAConfig
 from repro.core.mapping import MemoryMap, TrafficTemplate
 from repro.dnc import numpy_ref as K  # the shared numpy kernels
 from repro.dnc.approx import SoftmaxApproximator, skimmed_sort_order
+from repro.dnc.dncd_ref import dncd_run
 from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig, NumpyDNCState
 from repro.errors import ConfigError, SimulationError
 from repro.hw.sorters import TwoStageSorter
@@ -638,15 +639,16 @@ class TiledEngine:
         """Run both paths on random input; return max abs output error.
 
         With ``batch_size=None`` this compares the sharded execution
-        against the monolithic reference DNC.  With a ``batch_size`` it
-        instead compares :meth:`run_batch` element-wise against ``B``
-        independent unbatched :meth:`run` calls — the batched hot path
-        must reproduce the sequential path exactly.
+        against its oracle: the monolithic reference DNC, or for DNC-D
+        the per-tile oracle :func:`repro.dnc.dncd_ref.dncd_run` on the
+        same weights.  With a ``batch_size`` it instead compares
+        :meth:`run_batch` element-wise against ``B`` independent
+        unbatched :meth:`run` calls — the batched hot path must
+        reproduce the sequential path exactly.
 
-        Raises :class:`~repro.errors.SimulationError` in DNC mode (or for
-        any batched comparison) if the paths diverge beyond ``tol``,
-        which defaults to the dtype policy's entry in
-        :attr:`VERIFY_TOLERANCES`.
+        Raises :class:`~repro.errors.SimulationError` if the paths
+        diverge beyond ``tol``, which defaults to the dtype policy's
+        entry in :attr:`VERIFY_TOLERANCES`.
         """
         if tol is None:
             tol = self.VERIFY_TOLERANCES[self.config.dtype]
@@ -654,11 +656,16 @@ class TiledEngine:
         if batch_size is None:
             inputs = gen.standard_normal((steps, self.reference.config.input_size))
             ours = self.run(inputs)
-            reference_out = self.reference.run(inputs)
-            error = float(np.max(np.abs(ours - reference_out)))
-            if not self.config.distributed and error > tol:
+            if self.config.distributed:
+                oracle = "the per-tile DNC-D oracle"
+                expected = dncd_run(self, inputs)
+            else:
+                oracle = "reference"
+                expected = self.reference.run(inputs)
+            error = float(np.max(np.abs(ours - expected)))
+            if error > tol:
                 raise SimulationError(
-                    f"tiled execution diverged from reference (max err {error:.3e})"
+                    f"tiled execution diverged from {oracle} (max err {error:.3e})"
                 )
             return error
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -42,6 +43,15 @@ class Topology:
         return self.graph.degree[node]
 
 
+def _new_graph() -> "nx.Graph":
+    """An empty graph.  ``networkx`` is imported here, by the builders,
+    so importing :mod:`repro.noc` (the engine does, for
+    :class:`~repro.noc.packet.Message`) does not load it."""
+    import networkx as nx
+
+    return nx.Graph()
+
+
 def _grid_dims(num_tiles: int) -> Tuple[int, int]:
     """Near-square grid (rows x cols) with ``rows*cols >= num_tiles``.
 
@@ -60,7 +70,7 @@ def build_mesh(num_pts: int, diagonal: bool = False, name: str = "mesh") -> Topo
     check_positive("num_pts", num_pts)
     total = num_pts + 1
     rows, cols = _grid_dims(total)
-    graph = nx.Graph()
+    graph = _new_graph()
     positions: Dict[int, Tuple[int, int]] = {}
 
     center = min((rows // 2) * cols + (cols // 2), total - 1)
@@ -101,7 +111,7 @@ def build_hima(num_pts: int) -> Topology:
 def build_star(num_pts: int) -> Topology:
     """Star: every PT one hop from the CT."""
     check_positive("num_pts", num_pts)
-    graph = nx.Graph()
+    graph = _new_graph()
     ct = num_pts
     for pt in range(num_pts):
         graph.add_edge(pt, ct)
@@ -111,7 +121,7 @@ def build_star(num_pts: int) -> Topology:
 def build_ring(num_pts: int) -> Topology:
     """Ring through all PTs and the CT."""
     check_positive("num_pts", num_pts)
-    graph = nx.Graph()
+    graph = _new_graph()
     ct = num_pts
     order = list(range(num_pts)) + [ct]
     for i, node in enumerate(order):
@@ -138,7 +148,7 @@ def build_htree(num_pts: int, name: str = "htree") -> Topology:
     case ``2*log2(num_pts)`` hops).
     """
     levels = _tree_levels(num_pts)
-    graph = nx.Graph()
+    graph = _new_graph()
     # Level 0: leaves 0..num_pts-1 (the PTs).  Internal nodes numbered
     # upward; the single root is the CT.
     current = list(range(num_pts))

@@ -26,7 +26,9 @@ exact cluster-wide metrics via :meth:`ServerMetrics.merge`.
   trajectories intact.
 
 :class:`AsyncFrontend` wraps any of these servers in an awaitable
-per-request asyncio API.
+per-request asyncio API.  It is imported on first access (so are
+``asyncio`` and its event loop machinery): a server that no coroutine
+drives never loads them.
 
 :mod:`repro.serve.loadgen` generates deterministic open-loop traffic —
 uniform or Zipf-tenant-skewed (:func:`generate_zipf_scripts`, the
@@ -52,7 +54,6 @@ Quickstart::
 from repro.serve.arena import StateArena
 from repro.serve.batcher import MicroBatcher, StepRequest
 from repro.serve.cluster import ShardedServer
-from repro.serve.frontend import AsyncFrontend
 from repro.serve.loadgen import (
     SessionScript,
     generate_scripts,
@@ -78,6 +79,15 @@ from repro.serve.supervisor import CheckpointSupervisor
 
 #: The single-engine server is one shard served on its own.
 SessionServer = EngineShard
+
+
+def __getattr__(name: str):
+    if name == "AsyncFrontend":
+        from repro.serve.frontend import AsyncFrontend
+
+        return AsyncFrontend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "StateArena",

@@ -39,6 +39,7 @@ from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
 from repro.dnc import numpy_ref as K
 from repro.errors import ConfigError
+from repro.obs import PhaseTimer
 
 TOLERANCES = TiledEngine.VERIFY_TOLERANCES
 
@@ -585,6 +586,35 @@ class TestTunedNumerics:
         for name, passes in (("tuned", 1), ("reference", 2)):
             backend = make_backend(HiMAConfig(**BLOCKED_CONFIG, backend=name))
             assert backend.read_linkage_passes == passes
+
+    @staticmethod
+    def read_bytes(backend, active=None, **features):
+        base = dict(BLOCKED_CONFIG, memory_size=64, num_tiles=4)
+        base.update(features)
+        engine = TiledEngine(HiMAConfig(**base, backend=backend), rng=0)
+        engine.profiler = PhaseTimer()
+        state = engine.initial_state(batch_size=2)
+        engine.step(np.zeros((2, base["word_size"])), state, active=active)
+        return engine.profiler.stats()["read"]["bytes"]
+
+    @pytest.mark.parametrize("features", [
+        pytest.param(dict(distributed=True), id="dncd-n64-nt4"),
+        pytest.param(dict(), id="dnc-n64"),
+        pytest.param(dict(memory_size=1024, distributed=True), id="dncd-n1024-nt4"),
+    ])
+    def test_read_bytes_equal_where_tuned_runs_the_reference_pair(self, features):
+        """Below MIN_BLOCKED_N rows per block, and on DNC-D's
+        non-contiguous block views, tuned's forward/backward is the
+        reference matvec pair, so its read bytes are reference's."""
+        assert (self.read_bytes("tuned", **features)
+                == self.read_bytes("reference", **features))
+
+    @pytest.mark.parametrize("active", [None, np.array([1])], ids=["full", "masked"])
+    def test_fused_read_bytes_are_lower(self, active):
+        """From MIN_BLOCKED_N rows the fused sweep runs, for a masked
+        tick too (the per-slot loop re-enters it slot by slot)."""
+        assert (self.read_bytes("tuned", active, memory_size=256)
+                < self.read_bytes("reference", active, memory_size=256))
 
 
 # ---------------------------------------------------------------------------

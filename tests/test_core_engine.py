@@ -37,11 +37,35 @@ class TestExactness:
         assert engine.verify_against_reference(steps=3) < 1e-12
 
     def test_dncd_mode_differs_from_monolithic(self, small_hima_config):
+        """DNC-D is an approximation of the DNC: on the same weights its
+        outputs leave the monolithic reference's, while ``verify``
+        judges it against the per-tile DNC-D oracle."""
         engine = TiledEngine(
             small_hima_config.with_features(distributed=True), rng=0
         )
-        error = engine.verify_against_reference(steps=4)
-        assert error > 0  # DNC-D is an approximation of the DNC
+        inputs = np.random.default_rng(7).standard_normal(
+            (4, engine.reference.config.input_size)
+        )
+        assert np.max(np.abs(engine.run(inputs) - engine.reference.run(inputs))) > 0
+        assert engine.verify_against_reference(steps=4) < 1e-12
+
+    def test_dncd_verify_raises_on_a_perturbed_read_merge(
+        self, small_hima_config, monkeypatch
+    ):
+        """A DNC-D engine whose CT merges the Nt tile reads with weight
+        1/(Nt+1) instead of 1/Nt fails ``verify``."""
+        engine = TiledEngine(
+            small_hima_config.with_features(distributed=True), rng=0
+        )
+        nt = engine.config.num_tiles
+        merge = engine.access.read_vectors
+
+        def merge_over_nt_plus_one(eng, memory, read_w):
+            return merge(eng, memory, read_w) * (nt / (nt + 1))
+
+        monkeypatch.setattr(engine.access, "read_vectors", merge_over_nt_plus_one)
+        with pytest.raises(SimulationError, match="per-tile DNC-D oracle"):
+            engine.verify_against_reference(steps=4)
 
     def test_state_shapes_preserved(self, engine, rng):
         state = engine.initial_state()

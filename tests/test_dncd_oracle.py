@@ -1,13 +1,10 @@
-"""DNC-D against an independent per-tile oracle (paper Section 5.1).
+"""DNC-D against its independent per-tile oracle (paper Section 5.1).
 
-DNC-D splits memory into ``Nt`` local tiles: every tile runs the complete
-soft write and read on its own ``n = N / Nt`` rows, with its own ``n x n``
-linkage, and the ``Nt`` read vectors merge at the CT with weight ``1/Nt``.
-The oracle below computes exactly that with a Python loop over tiles,
-built only from the :mod:`repro.dnc.numpy_ref` kernels (content scores,
-retention, usage, the stable or skimmed order, allocation, erase/write,
-linkage, precedence, forward/backward, read merge).  It shares nothing
-with the engine but the controller, the output layer and the weights.
+The oracle, :func:`repro.dnc.dncd_ref.dncd_step`, steps every tile's
+complete soft write and read on its own ``n = N / Nt`` rows with a Python
+loop over tiles, from the :mod:`repro.dnc.numpy_ref` kernels and the
+engine's controller, output layer and weights; it shares no code with
+the engine's block-axis memory step.
 
 The engine is pinned against it to 1e-10 (float64) in every step form:
 solo ``run``, ``run_batch`` and masked partial ticks on a resident
@@ -20,68 +17,11 @@ import pytest
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
 from repro.core.kernels import MIN_BLOCKED_N
-from repro.dnc import numpy_ref as K
-from repro.dnc.approx import skimmed_sort_order
+from repro.dnc.dncd_ref import dncd_step
 from repro.dnc.numpy_ref import NumpyDNCState
 
 TOL = 1e-10
 STEPS = 16
-
-
-def oracle_step(engine, x, state):
-    """One DNC-D step, tile by tile; ``x``/``state`` batched or not."""
-    cfg = engine.config
-    nt = cfg.num_tiles
-    n = cfg.memory_size // nt
-    softmax = engine.reference._softmax
-    lstm_h, lstm_c, iface = engine._controller(x, state)
-    new = {
-        name: np.zeros_like(getattr(state, name))
-        for name in ("memory", "usage", "precedence", "linkage",
-                     "write_w", "read_w")
-    }
-    read_vecs = 0.0
-    for t in range(nt):
-        rows = slice(t * n, (t + 1) * n)
-        memory = state.memory[..., rows, :]
-        read_prev = state.read_w[..., rows]
-        scores = K.content_scores(memory, iface.write_key[..., None, :])
-        content_w = softmax(iface.write_strength * scores[..., 0, :])
-        psi = K.retention(iface.free_gates, read_prev)
-        usage = K.usage_update(
-            state.usage[..., rows], state.write_w[..., rows], psi
-        )
-        if cfg.skim_fraction > 0.0:
-            order = skimmed_sort_order(usage, cfg.skim_fraction)
-        else:
-            order = np.argsort(usage, axis=-1, kind="stable")
-        alloc = K.allocation_from_order(usage, order)
-        write_w = K.write_weight_merge(
-            content_w, alloc, iface.write_gate, iface.allocation_gate
-        )
-        memory = K.erase_write(memory, write_w, iface.erase, iface.write_vector)
-        prev_p = state.precedence[..., rows]
-        linkage = K.linkage_update(
-            state.linkage[..., rows, rows], write_w, prev_p
-        )
-        precedence = K.precedence_update(prev_p, write_w)
-        content_r = softmax(
-            iface.read_strengths[..., None]
-            * K.content_scores(memory, iface.read_keys)
-        )
-        fwd, bwd = K.forward_backward(linkage, read_prev)
-        read_w = K.read_weight_merge(content_r, fwd, bwd, iface.read_modes)
-        read_vecs = read_vecs + K.read_vectors(memory, read_w) / nt
-        new["memory"][..., rows, :] = memory
-        new["usage"][..., rows] = usage
-        new["precedence"][..., rows] = precedence
-        new["linkage"][..., rows, rows] = linkage
-        new["write_w"][..., rows] = write_w
-        new["read_w"][..., rows] = read_w
-    y = engine._output(lstm_h, read_vecs)
-    return y, NumpyDNCState(
-        read_vecs=read_vecs, lstm_h=lstm_h, lstm_c=lstm_c, **new
-    )
 
 
 def max_state_error(a, b):
@@ -114,7 +54,7 @@ def test_solo_run_matches_oracle(memory_size, num_tiles, skim, approx):
     ys = engine.run(inputs)
     state = engine.initial_state()
     for t in range(STEPS):
-        y, state = oracle_step(engine, inputs[t], state)
+        y, state = dncd_step(engine, inputs[t], state)
         assert float(np.max(np.abs(ys[t] - y))) <= TOL
 
 
@@ -125,7 +65,7 @@ def test_run_batch_matches_oracle(memory_size, num_tiles, skim, approx):
     ys = engine.run_batch(inputs)
     state = engine.initial_state(batch_size=4)
     for t in range(STEPS):
-        y, state = oracle_step(engine, inputs[t], state)
+        y, state = dncd_step(engine, inputs[t], state)
         assert float(np.max(np.abs(ys[t] - y))) <= TOL
 
 
@@ -151,7 +91,7 @@ def test_masked_partial_ticks_match_oracle(memory_size, num_tiles, skim, approx)
         idx = np.flatnonzero(active) if active.dtype == bool else active
         x = rng.standard_normal((capacity, 16))
         y, state = engine.step(x, state, active=active)
-        y_sub, sub = oracle_step(engine, x[idx], expected.take_rows(idx))
+        y_sub, sub = dncd_step(engine, x[idx], expected.take_rows(idx))
         expected.write_rows(idx, sub)
         assert float(np.max(np.abs(y[idx] - y_sub))) <= TOL
         inactive = np.setdiff1d(np.arange(capacity), idx)
