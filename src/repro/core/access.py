@@ -23,7 +23,7 @@ Two policies:
   (:func:`repro.core.kernels.sparse_erase_write_linkage_inplace`), sparse
   forward/backward over the previous read weights' support, and top-K
   read-weight truncation.  Per-step cost drops from O(N^2) to O(K·N)
-  while the state representation (:class:`repro.dnc.numpy_ref.NumpyDNCState`)
+  while the state representation (:class:`repro.dnc.state.NumpyDNCState`)
   stays dense — only the *support* is sparse — so checkpointing,
   migration, and the whole serving stack work unchanged.
 

@@ -41,7 +41,8 @@ from repro.core.mapping import MemoryMap, TrafficTemplate
 from repro.dnc import numpy_ref as K  # the shared numpy kernels
 from repro.dnc.approx import SoftmaxApproximator, skimmed_sort_order
 from repro.dnc.dncd_ref import dncd_run
-from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig, NumpyDNCState
+from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig
+from repro.dnc.state import NumpyDNCState
 from repro.errors import ConfigError, SimulationError
 from repro.hw.sorters import TwoStageSorter
 from repro.noc.packet import Message

@@ -14,8 +14,14 @@ Layout
   memory units with a trainable weighted read-vector merge.
 * :mod:`repro.dnc.approx` — usage skimming and PLA+LUT softmax approximation
   (paper Section 5.2).
-* :mod:`repro.dnc.numpy_ref` — inference-only, instrumented numpy DNC used
-  for kernel profiling (Table 1 / Figure 4) and traffic generation.
+* :mod:`repro.dnc.numpy_ref` — inference-only, instrumented numpy DNC: the
+  oracle the engine is checked against and the kernel profiler behind
+  Table 1 / Figure 4.
+* :mod:`repro.dnc.state` — :class:`~repro.dnc.state.NumpyDNCState`, the
+  inference state the oracle, the engine and the serving layer step, and
+  its versioned checkpoint format.
+* :mod:`repro.dnc.dncd_ref` — the per-tile DNC-D oracle, built from the
+  ``numpy_ref`` kernels.
 """
 
 from repro.dnc.interface import Interface, InterfaceSpec

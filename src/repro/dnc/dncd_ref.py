@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.dnc import numpy_ref as K
 from repro.dnc.approx import skimmed_sort_order
-from repro.dnc.numpy_ref import NumpyDNCState
+from repro.dnc.state import NumpyDNCState
 
 def dncd_step(
     engine, x: np.ndarray, state: NumpyDNCState

@@ -1,16 +1,20 @@
-"""Inference-only, instrumented numpy DNC.
+"""Inference-only, instrumented numpy DNC — the repository's oracle.
 
 This is the "functional model of DNC in Python" the paper verified its RTL
-against (Section 7).  It serves three roles:
+against (Section 7).  It serves two roles:
 
 1. **Kernel profiling** — every kernel is wrapped in
    :class:`~repro.dnc.instrumentation.KernelRecorder` timing/counting, which
-   regenerates Table 1's access columns and the Figure 4 CPU breakdown.
+   regenerates Table 1's access columns and the Figure 4 CPU breakdown;
+   with no autodiff tape, large (1024 x 64) profiling runs stay fast.
 2. **Reference semantics** — the tiled execution engine
    (:mod:`repro.core.engine`) reuses the module-level kernel functions on
    partitioned state and is tested for exact agreement with this model.
-3. **Speed** — it skips the autodiff tape, so large (1024 x 64) profiling
-   runs stay fast.
+
+:class:`NumpyDNC` has one step body, shape-polymorphic over a leading
+batch dimension; an unbatched step is that body at ``B = 1``.  The state
+it steps, :class:`~repro.dnc.state.NumpyDNCState`, lives in
+:mod:`repro.dnc.state` with its checkpoint format.
 
 The kernel functions are exact numpy mirrors of
 :mod:`repro.dnc.addressing`; the test suite asserts both paths agree to
@@ -19,15 +23,14 @@ float64 precision.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.dnc.approx import SoftmaxApproximator, skimmed_sort_order
 from repro.dnc.instrumentation import KernelRecorder
+from repro.dnc.state import NumpyDNCState
 from repro.errors import ConfigError
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import DTYPE_CHOICES, check_in
@@ -282,241 +285,6 @@ class NumpyDNCConfig:
         return np.dtype(self.dtype)
 
 
-@dataclass
-class NumpyDNCState:
-    """Full inference state of the reference DNC.
-
-    Unbatched states hold the canonical shapes (``memory (N, W)``,
-    ``usage (N,)``, ...); batched states carry a leading batch dimension
-    on every field (``memory (B, N, W)``, ``usage (B, N)``, ...).
-    """
-
-    memory: np.ndarray
-    usage: np.ndarray
-    precedence: np.ndarray
-    linkage: np.ndarray
-    write_w: np.ndarray
-    read_w: np.ndarray
-    read_vecs: np.ndarray
-    lstm_h: np.ndarray
-    lstm_c: np.ndarray
-
-    #: Field names in declaration order; the stack/unstack helpers and the
-    #: serving layer's gather/scatter iterate this rather than hard-coding
-    #: the state layout twice.
-    FIELDS = (
-        "memory", "usage", "precedence", "linkage", "write_w",
-        "read_w", "read_vecs", "lstm_h", "lstm_c",
-    )
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Leading batch dimension, or ``None`` for an unbatched state."""
-        return None if self.usage.ndim == 1 else self.usage.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held across all state fields."""
-        return sum(getattr(self, name).nbytes for name in self.FIELDS)
-
-    @property
-    def row_nbytes(self) -> int:
-        """Bytes of one batch row (one session's full recurrent context).
-
-        For an unbatched state this is simply :attr:`nbytes`.
-        """
-        b = self.batch_size
-        return self.nbytes if b is None else self.nbytes // b
-
-    def copy(self) -> "NumpyDNCState":
-        """Deep copy: every field owns a fresh contiguous array."""
-        return type(self)(**{
-            name: getattr(self, name).copy() for name in self.FIELDS
-        })
-
-    # ------------------------------------------------------------------
-    # Checkpoint serialization (the serving layer's migration primitive)
-    # ------------------------------------------------------------------
-
-    #: ``to_bytes`` wire format: magic, little-endian uint16 version +
-    #: uint32 header length, a JSON header recording every field's dtype
-    #: and shape, then the raw C-order field bytes in header order.
-    BYTES_MAGIC = b"HIMASTATE"
-    BYTES_VERSION = 1
-
-    def to_bytes(self) -> bytes:
-        """Serialize the state to a self-describing byte string.
-
-        The round trip through :meth:`from_bytes` is **bitwise** and
-        dtype-preserving for any dtype policy and for batched and
-        unbatched states alike — the payload is the exact C-order bytes
-        of every field, prefixed with a versioned header, so a
-        checkpoint taken on one engine restores bit-identically on any
-        other engine with the same configuration (the session-migration
-        contract of :mod:`repro.serve`).
-        """
-        header = json.dumps({
-            "fields": {
-                name: [getattr(self, name).dtype.str,
-                       list(getattr(self, name).shape)]
-                for name in self.FIELDS
-            },
-        }).encode("utf-8")
-        parts = [
-            self.BYTES_MAGIC,
-            struct.pack("<HI", self.BYTES_VERSION, len(header)),
-            header,
-        ]
-        parts.extend(
-            np.ascontiguousarray(getattr(self, name)).tobytes()
-            for name in self.FIELDS
-        )
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "NumpyDNCState":
-        """Reconstruct a state serialized by :meth:`to_bytes`.
-
-        Every returned field owns a fresh contiguous array (the payload
-        can be dropped immediately).  Raises
-        :class:`~repro.errors.ConfigError` for a payload that is not a
-        state checkpoint: wrong magic, unknown version, a truncated or
-        oversized body, or a header whose field set does not match
-        :attr:`FIELDS`.
-        """
-        magic_len = len(cls.BYTES_MAGIC)
-        prefix_len = magic_len + struct.calcsize("<HI")
-        if len(payload) < prefix_len or payload[:magic_len] != cls.BYTES_MAGIC:
-            raise ConfigError("from_bytes: payload is not a state checkpoint")
-        version, header_len = struct.unpack(
-            "<HI", payload[magic_len:prefix_len]
-        )
-        if version != cls.BYTES_VERSION:
-            raise ConfigError(
-                f"from_bytes: unsupported checkpoint version {version} "
-                f"(this build reads version {cls.BYTES_VERSION})"
-            )
-        body_start = prefix_len + header_len
-        if len(payload) < body_start:
-            raise ConfigError("from_bytes: truncated checkpoint header")
-        try:
-            header = json.loads(payload[prefix_len:body_start])
-            fields = header["fields"]
-        except (ValueError, KeyError, TypeError):
-            raise ConfigError(
-                "from_bytes: malformed checkpoint header"
-            ) from None
-        if tuple(fields) != cls.FIELDS:
-            raise ConfigError(
-                f"from_bytes: checkpoint fields {tuple(fields)} do not "
-                f"match the state layout {cls.FIELDS}"
-            )
-        arrays = {}
-        offset = body_start
-        for name, (dtype_str, shape) in fields.items():
-            dtype = np.dtype(dtype_str)
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            end = offset + count * dtype.itemsize
-            if end > len(payload):
-                raise ConfigError(
-                    f"from_bytes: truncated checkpoint body at field {name!r}"
-                )
-            arrays[name] = np.frombuffer(
-                payload, dtype=dtype, count=count, offset=offset
-            ).reshape(shape).copy()
-            offset = end
-        if offset != len(payload):
-            raise ConfigError(
-                f"from_bytes: {len(payload) - offset} trailing bytes after "
-                "the last checkpoint field"
-            )
-        return cls(**arrays)
-
-    # ------------------------------------------------------------------
-    def _require_batched(self, op: str) -> int:
-        if self.batch_size is None:
-            raise ConfigError(f"{op} expects a batched state")
-        return self.batch_size
-
-    def take_rows(self, idx: np.ndarray) -> "NumpyDNCState":
-        """Copy batch rows ``idx`` (in the given order) into a new state.
-
-        The vectorized gather behind the engine's masked step: one fancy
-        index per field instead of a Python loop over sessions.  Rows in
-        the result follow the order of ``idx`` exactly, and every field
-        is a fresh copy (fancy indexing never returns a view).
-        """
-        self._require_batched("take_rows")
-        return type(self)(**{
-            name: getattr(self, name)[idx] for name in self.FIELDS
-        })
-
-    def write_rows(self, idx: np.ndarray, other: "NumpyDNCState") -> None:
-        """Scatter ``other``'s rows into this state's rows ``idx`` in place.
-
-        The inverse of :meth:`take_rows`: ``other`` row ``k`` lands in
-        this state's row ``idx[k]``; all other rows are untouched (the
-        masked-step guarantee for sessions sitting a tick out).
-        """
-        self._require_batched("write_rows")
-        for name in self.FIELDS:
-            getattr(self, name)[idx] = getattr(other, name)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def stack(cls, states: Sequence["NumpyDNCState"]) -> "NumpyDNCState":
-        """Pack unbatched states into one batched state (leading axis ``K``).
-
-        Every input must be unbatched and hold the same field shapes and
-        dtypes; element ``i`` of the result is bitwise the ``i``-th input
-        (``np.stack`` copies, so the batched state shares no memory with
-        the inputs).  Raises :class:`~repro.errors.ConfigError` on an
-        empty sequence, a batched input, or mismatched shapes/dtypes.
-        """
-        if not states:
-            raise ConfigError("cannot stack an empty sequence of states")
-        first = states[0]
-        for i, state in enumerate(states):
-            if state.batch_size is not None:
-                raise ConfigError(
-                    f"stack expects unbatched states; states[{i}] has "
-                    f"batch_size={state.batch_size}"
-                )
-            for name in cls.FIELDS:
-                a, b = getattr(first, name), getattr(state, name)
-                if a.shape != b.shape or a.dtype != b.dtype:
-                    raise ConfigError(
-                        f"states[{i}].{name} has shape {b.shape} dtype "
-                        f"{b.dtype}, expected {a.shape} {a.dtype}"
-                    )
-        return cls(**{
-            name: np.stack([getattr(s, name) for s in states])
-            for name in cls.FIELDS
-        })
-
-    def unstack(self) -> List["NumpyDNCState"]:
-        """Split a batched state into ``B`` independent unbatched states.
-
-        The inverse of :meth:`stack`: each returned state is a contiguous
-        copy (it does not alias the batched buffers, so the batched state
-        can be dropped without pinning ``B x N^2`` linkage arrays), and
-        ``stack(batched.unstack())`` round-trips bitwise.  Raises
-        :class:`~repro.errors.ConfigError` on an unbatched state.
-        """
-        if self.batch_size is None:
-            raise ConfigError("unstack expects a batched state")
-        # .copy() (not ascontiguousarray, which returns a *view* of an
-        # already-contiguous slice) so per-session states never alias the
-        # batched buffers.
-        return [
-            type(self)(**{
-                name: getattr(self, name)[i].copy()
-                for name in self.FIELDS
-            })
-            for i in range(self.batch_size)
-        ]
-
-
 class NumpyDNC:
     """Instrumented, inference-only DNC with randomly initialized weights.
 
@@ -598,123 +366,23 @@ class NumpyDNC:
     def step(self, x: np.ndarray, state: NumpyDNCState) -> Tuple[np.ndarray, NumpyDNCState]:
         """One instrumented timestep; returns ``(y, new_state)``.
 
-        ``x`` is ``(input_size,)``, or ``(B, input_size)`` with a matching
-        batched ``state`` (see :meth:`initial_state`); the batched form
-        vectorizes all kernels over the batch.  Inputs are cast to the
-        configured dtype so a float32 model never silently upcasts.
+        ``x`` is ``(B, input_size)`` with a matching batched ``state``
+        (see :meth:`initial_state`): every kernel runs once, stacked over
+        the batch, and the recorder's counters scale by ``B`` (one logical
+        kernel invocation processing ``B`` sequences).  An unbatched
+        ``x (input_size,)`` and state run the same body as a batch of one
+        (``[None]`` views in, ``[0]`` views out), so their counts are the
+        per-sequence formulas.  Inputs are cast to the configured dtype so
+        a float32 model never silently upcasts.
         """
         x = np.asarray(x, dtype=self.config.np_dtype)
-        if x.ndim == 2:
-            return self._step_batched(x, state)
-        c = self.config
-        n, w, r, h = c.memory_size, c.word_size, c.num_reads, c.hidden_size
-        rec = self.recorder
-
-        # --- Controller -------------------------------------------------
-        controller_in = np.concatenate([x, state.read_vecs.reshape(-1)])
-        lstm_ops = 2 * (controller_in.size + h) * 4 * h
-        with rec.measure("lstm", ops=lstm_ops):
-            gates = controller_in @ self.w_x + state.lstm_h @ self.w_h + self.b
-            i_g = _sigmoid(gates[0 * h : 1 * h])
-            f_g = _sigmoid(gates[1 * h : 2 * h])
-            g_g = np.tanh(gates[2 * h : 3 * h])
-            o_g = _sigmoid(gates[3 * h : 4 * h])
-            lstm_c = f_g * state.lstm_c + i_g * g_g
-            lstm_h = o_g * np.tanh(lstm_c)
-            interface_flat = lstm_h @ self.w_if + self.b_if
-        interface = parse_interface(interface_flat, w, r)
-
-        # --- Soft write ---------------------------------------------------
-        # Normalize: rows of M and the write key (CW.1).
-        with rec.measure("normalize", ops=2 * n * w + 2 * w, ext_mem=n * w, state_mem=w):
-            mem_unit = l2_normalize(state.memory)
-            wkey_unit = l2_normalize(interface.write_key)
-        # Similarity + softmax (CW.2).
-        with rec.measure("similarity", ops=2 * n * w + 5 * n, ext_mem=n * w, state_mem=w):
-            scores = mem_unit @ wkey_unit
-            content_w = self._softmax(interface.write_strength * scores)
-
-        with rec.measure("retention", ops=2 * r * n, state_mem=r * n):
-            psi = retention(interface.free_gates, state.read_w)
-        with rec.measure("usage", ops=4 * n, state_mem=2 * n):
-            usage = usage_update(state.usage, state.write_w, psi)
-        with rec.measure(
-            "usage_sort", ops=int(n * max(np.log2(n), 1.0)), state_mem=n
-        ):
-            if c.skim_fraction > 0:
-                order = skimmed_sort_order(usage, c.skim_fraction)
-            else:
-                order = np.argsort(usage, kind="stable")
-        with rec.measure("allocation", ops=3 * n, state_mem=n):
-            alloc = allocation_from_order(usage, order)
-        with rec.measure("write_weight_merge", ops=4 * n, state_mem=n):
-            write_w = write_weight_merge(
-                content_w, alloc, interface.write_gate, interface.allocation_gate
-            )
-        with rec.measure(
-            "memory_write", ops=4 * n * w, ext_mem=2 * n * w, state_mem=n
-        ):
-            memory = erase_write(
-                state.memory, write_w, interface.erase, interface.write_vector
-            )
-
-        with rec.measure("linkage", ops=4 * n * n, state_mem=2 * n * n):
-            linkage = linkage_update(state.linkage, write_w, state.precedence)
-        with rec.measure("precedence", ops=3 * n, state_mem=2 * n):
-            precedence = precedence_update(state.precedence, write_w)
-
-        # --- Soft read ----------------------------------------------------
-        with rec.measure(
-            "normalize", ops=2 * n * w + 2 * r * w, ext_mem=n * w, state_mem=r * w
-        ):
-            mem_unit = l2_normalize(memory)
-            rkey_unit = l2_normalize(interface.read_keys)
-        with rec.measure(
-            "similarity", ops=2 * r * n * w + 5 * r * n, ext_mem=n * w, state_mem=r * w
-        ):
-            rscores = rkey_unit @ mem_unit.T
-            content_r = self._softmax(
-                interface.read_strengths[:, None] * rscores, axis=-1
-            )
-        with rec.measure(
-            "forward_backward", ops=4 * r * n * n, state_mem=2 * n * n
-        ):
-            fwd, bwd = forward_backward(linkage, state.read_w)
-        with rec.measure("read_weight_merge", ops=5 * r * n, state_mem=r * n):
-            read_w = read_weight_merge(content_r, fwd, bwd, interface.read_modes)
-        with rec.measure(
-            "memory_read", ops=2 * r * n * w, ext_mem=n * w, state_mem=r * n
-        ):
-            read_vecs = read_vectors(memory, read_w)
-
-        # --- Output -------------------------------------------------------
-        with rec.measure("lstm", ops=2 * (h + r * w) * c.output_size):
-            output_in = np.concatenate([lstm_h, read_vecs.reshape(-1)])
-            y = output_in @ self.w_y + self.b_y
-
-        new_state = NumpyDNCState(
-            memory=memory,
-            usage=usage,
-            precedence=precedence,
-            linkage=linkage,
-            write_w=write_w,
-            read_w=read_w,
-            read_vecs=read_vecs,
-            lstm_h=lstm_h,
-            lstm_c=lstm_c,
-        )
-        return y, new_state
-
-    # ------------------------------------------------------------------
-    def _step_batched(
-        self, x: np.ndarray, state: NumpyDNCState
-    ) -> Tuple[np.ndarray, NumpyDNCState]:
-        """Batched timestep: ``x (B, I)`` with a batched ``state``.
-
-        Mirrors :meth:`step` kernel by kernel with every operation stacked
-        over the batch; instrumentation counters scale by ``B`` (one
-        logical kernel invocation processing ``B`` sequences).
-        """
+        if x.ndim == 1:
+            y, new_state = self.step(x[None], NumpyDNCState(**{
+                name: getattr(state, name)[None] for name in NumpyDNCState.FIELDS
+            }))
+            return y[0], NumpyDNCState(**{
+                name: getattr(new_state, name)[0] for name in NumpyDNCState.FIELDS
+            })
         c = self.config
         n, w, r, h = c.memory_size, c.word_size, c.num_reads, c.hidden_size
         b = x.shape[0]
@@ -859,7 +527,6 @@ __all__ = [
     "DTYPE_CHOICES",
     "NumpyDNC",
     "NumpyDNCConfig",
-    "NumpyDNCState",
     "NumpyInterface",
     "parse_interface",
     "l2_normalize",

@@ -11,10 +11,9 @@ One engine-owning worker, :class:`EngineShard`, serves on its own as
 the single-engine :class:`SessionServer` (an alias: the same class).
 One cluster front door, :class:`ShardedServer`, routes over N shard
 handles of either transport: pluggable session placement
-(:class:`LeastLoadedPlacement` / :class:`RoundRobinPlacement` /
-:class:`ConsistentHashPlacement`) with admission spill, optional
-rebalancing (:class:`HotSpotRebalance` / :class:`QueueDepthRebalance`)
-over the checkpoint-based migration path, thread-parallel ticks, and
+(:class:`LeastLoadedPlacement` / :class:`ConsistentHashPlacement`) with
+admission spill, optional rebalancing (:class:`HotSpotRebalance`) over
+the checkpoint-based migration path, thread-parallel ticks, and
 exact cluster-wide metrics via :meth:`ServerMetrics.merge`.
 
 * in process — the handles are :class:`EngineShard` objects;
@@ -69,9 +68,7 @@ from repro.serve.router import (
     HotSpotRebalance,
     LeastLoadedPlacement,
     PlacementPolicy,
-    QueueDepthRebalance,
     RebalancePolicy,
-    RoundRobinPlacement,
 )
 from repro.serve.session import SessionRecord, SessionStore
 from repro.serve.shard import EngineShard
@@ -106,11 +103,9 @@ __all__ = [
     "ProcWorker",
     "PlacementPolicy",
     "LeastLoadedPlacement",
-    "RoundRobinPlacement",
     "ConsistentHashPlacement",
     "RebalancePolicy",
     "HotSpotRebalance",
-    "QueueDepthRebalance",
     "SessionServer",
     "SessionRecord",
     "SessionStore",

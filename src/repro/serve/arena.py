@@ -5,7 +5,7 @@ gather/scatter tax: instead of packing K independent unbatched states
 into a fresh batched state every scheduler tick (and unpacking them
 right after), every session is pinned to one **slot** — one row of a
 single preallocated ``(B_max, ...)`` batched
-:class:`~repro.dnc.numpy_ref.NumpyDNCState` — at ``open_session`` time
+:class:`~repro.dnc.state.NumpyDNCState` — at ``open_session`` time
 and lives there until it closes or is evicted.  The engine's masked
 step (:meth:`repro.core.engine.TiledEngine.step` with ``active=``)
 then advances the dispatched slots *in place*, so per-session state is
@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.dnc.numpy_ref import NumpyDNCState
+from repro.dnc.state import NumpyDNCState
 from repro.errors import CapacityError, ConfigError
 
 

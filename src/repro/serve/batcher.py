@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, List, Optional, Set
 
 import numpy as np
 
@@ -96,11 +96,6 @@ class MicroBatcher:
     def pending_sessions(self) -> Set[str]:
         """Sessions with at least one queued request (eviction shield)."""
         return set(self._queues)
-
-    def pending_counts(self) -> Dict[str, int]:
-        """Queued requests per session (insertion order) — the signal
-        queue-depth rebalancing picks migration victims from."""
-        return {sid: len(queue) for sid, queue in self._queues.items()}
 
     def submit(
         self, session_id: str, x: np.ndarray, tick: int

@@ -13,9 +13,9 @@ sequential ones), and merges the per-shard
 :class:`~repro.serve.metrics.ServerMetrics` into one cluster snapshot.
 
 A handle has two transports and one surface (``load``,
-``queue_depth``, ``capacity``, ``pending_counts``, ``p95_wait``,
-``session_ids`` and the admit/submit/tick/checkpoint/detach/attach
-calls): an in-process :class:`~repro.serve.shard.EngineShard`, or a
+``queue_depth``, ``capacity``, ``session_ids`` and the
+admit/submit/tick/checkpoint/detach/attach calls): an in-process
+:class:`~repro.serve.shard.EngineShard`, or a
 :class:`~repro.serve.proc.ProcWorker` that serves the same surface over
 framed RPC to an ``EngineShard`` in a worker process
 (:class:`~repro.serve.proc.ProcCluster` is this class over those).  The
@@ -27,7 +27,7 @@ ticks, and :meth:`migrate_session` moves a live session — state bytes
 plus its pending request FIFO — with one slot read on the source and
 one slot write on the destination.  Because every engine carries
 identical weights and state round-trips bitwise through
-:meth:`~repro.dnc.numpy_ref.NumpyDNCState.to_bytes`, a migrated
+:meth:`~repro.dnc.state.NumpyDNCState.to_bytes`, a migrated
 session's trajectory is bit-identical to never having moved, given
 equal dispatch order — and any served trajectory matches solo unbatched
 stepping to <= 1e-10 (pinned in ``tests/test_serve_cluster.py``).
@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.engine import TiledEngine
-from repro.dnc.numpy_ref import NumpyDNCState
+from repro.dnc.state import NumpyDNCState
 from repro.errors import CapacityError, ConfigError, ReproError
 from repro.obs import PhaseTimer, Tracer
 from repro.serve.batcher import StepRequest

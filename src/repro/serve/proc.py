@@ -21,7 +21,7 @@ oversized frame — never hangs, never guesses — and the parent converts
 any transport failure (EOF, reset, RPC timeout) into
 :class:`~repro.errors.WorkerCrashed`, the signal that triggers recovery.
 Checkpoint payloads ride inside frames as the versioned
-:meth:`~repro.dnc.numpy_ref.NumpyDNCState.to_bytes` byte strings, the
+:meth:`~repro.dnc.state.NumpyDNCState.to_bytes` byte strings, the
 same host-portable format the thread cluster migrates sessions with.
 
 **Crash recovery.** Every worker shares the cluster's
@@ -206,11 +206,7 @@ def _worker_completions(
 
 
 def _worker_stats(shard) -> Dict[str, object]:
-    stats: Dict[str, object] = {
-        "pending_counts": shard.pending_counts,
-        "p95_wait": shard.p95_wait,
-        "tick": shard.tick,
-    }
+    stats: Dict[str, object] = {"tick": shard.tick}
     # Observability piggybacks on every reply: finished spans drain to
     # the parent (worker rings stay near-empty) and the cumulative
     # per-phase engine profile rides along for cluster_profile() and
@@ -481,9 +477,7 @@ class ProcWorker:
         self.restarts = 0
         #: Ticks this handle was driven (the cluster's clock).
         self.tick = 0
-        #: Stats mirrored from the worker's latest reply.
-        self.pending_counts: Dict[str, int] = {}
-        self.p95_wait: Optional[float] = None
+        #: The worker's tick, mirrored from its latest reply.
         self._worker_tick = 0
         self._phase: Dict[str, Dict[str, float]] = {}
         #: Resident session -> base step, least recently active first.
@@ -641,8 +635,6 @@ class ProcWorker:
         """Fold a reply's stats, spans, completions and departures into
         the mirrors, the tracer and the flight recorder."""
         stats = reply["stats"]
-        self.pending_counts = stats["pending_counts"]
-        self.p95_wait = stats["p95_wait"]
         self._worker_tick = stats["tick"]
         spans = stats.get("spans")
         phase = stats.get("phase")

@@ -6,11 +6,11 @@ transport, :class:`repro.serve.proc.ProcCluster`):
 
 * :class:`PlacementPolicy` — where a **new** session opens.
   :class:`LeastLoadedPlacement` (the default) packs onto the
-  emptiest shard; :class:`RoundRobinPlacement` cycles;
-  :class:`ConsistentHashPlacement` routes by a stable hash of the
-  session id (or a routing key extracted from it, e.g. a tenant
-  prefix), so co-keyed sessions land together and placement survives
-  process restarts — the property a distributed front-end tier needs.
+  emptiest shard; :class:`ConsistentHashPlacement` routes by a stable
+  hash of the session id (or a routing key extracted from it, e.g. a
+  tenant prefix), so co-keyed sessions land together and placement
+  survives process restarts — the property a distributed front-end
+  tier needs.
 
 * :class:`RebalancePolicy` — which **live** sessions migrate between
   shards after a tick.  :class:`HotSpotRebalance` drains the
@@ -64,18 +64,6 @@ class LeastLoadedPlacement(PlacementPolicy):
         )
 
 
-class RoundRobinPlacement(PlacementPolicy):
-    """Cycle through the shards in order, ignoring load."""
-
-    def __init__(self):
-        self._next = 0
-
-    def place(self, session_id: str, shards: Sequence) -> int:
-        index = self._next % len(shards)
-        self._next += 1
-        return index
-
-
 class ConsistentHashPlacement(PlacementPolicy):
     """Stable hash-ring placement with virtual nodes.
 
@@ -127,10 +115,10 @@ class RebalancePolicy:
 
         ``shards`` are the cluster's shard handles; policies read only
         the handle surface (``load``, ``queue_depth``, ``capacity``,
-        ``pending_counts``, ``p95_wait``, ``session_ids()``).  Called by
-        the cluster's ``run_tick`` between ticks, when no batch is in
-        flight; the cluster executes the moves in order and skips any
-        that turned stale (session closed meanwhile, destination full).
+        ``session_ids()``).  Called by the cluster's ``run_tick``
+        between ticks, when no batch is in flight; the cluster executes
+        the moves in order and skips any that turned stale (session
+        closed meanwhile, destination full).
         """
         raise NotImplementedError
 
@@ -182,96 +170,10 @@ class HotSpotRebalance(RebalancePolicy):
         return moves
 
 
-class QueueDepthRebalance(RebalancePolicy):
-    """Move *queued work* — not just sessions — off the busiest shard.
-
-    :class:`HotSpotRebalance` balances resident session counts, which is
-    the right signal under uniform traffic but blind to skew *within*
-    the residents: a shard holding few but chatty sessions can run a
-    deep queue (and a fat wait p95) while its neighbours idle.  This
-    policy watches the queues instead: when the deepest shard's queue
-    exceeds the shallowest's by more than ``max_spread`` requests — or
-    when its wait p95 exceeds the cluster's best by more than
-    ``max_p95_spread`` ticks while it also has the deepest queue — it
-    migrates the hot shard's session with the *most* queued requests to
-    the shallowest shard (up to ``max_moves`` per tick).  Busiest-victim
-    is the opposite of HotSpot's LRU pick on purpose: moving the session
-    that owns the most queued work transfers the most depth per
-    migration, and the pending FIFO rides the checkpoint so nothing is
-    refused or reordered within the session.
-
-    Reads only the handle surface, so one policy serves both shard
-    transports (a :class:`~repro.serve.proc.ProcWorker`'s
-    ``pending_counts`` and ``p95_wait`` mirror the worker's last reply).
-    """
-
-    def __init__(
-        self,
-        max_spread: int = 8,
-        max_p95_spread: Optional[float] = 4.0,
-        max_moves: int = 1,
-    ):
-        if max_spread < 1:
-            raise ConfigError(f"max_spread must be >= 1, got {max_spread}")
-        if max_p95_spread is not None and max_p95_spread <= 0:
-            raise ConfigError(
-                f"max_p95_spread must be > 0 or None, got {max_p95_spread}"
-            )
-        if max_moves < 1:
-            raise ConfigError(f"max_moves must be >= 1, got {max_moves}")
-        self.max_spread = max_spread
-        self.max_p95_spread = max_p95_spread
-        self.max_moves = max_moves
-
-    def _should_move(self, shards: Sequence, hot: int, cold: int) -> bool:
-        spread = shards[hot].queue_depth - shards[cold].queue_depth
-        if spread > self.max_spread:
-            return True
-        if self.max_p95_spread is None or spread <= 0:
-            return False
-        p95s = [s.p95_wait for s in shards if s.p95_wait is not None]
-        hot_p95 = shards[hot].p95_wait
-        if hot_p95 is None or not p95s:
-            return False
-        return hot_p95 - min(p95s) > self.max_p95_spread
-
-    def plan(self, shards: Sequence) -> List[Tuple[str, int, int]]:
-        moves: List[Tuple[str, int, int]] = []
-        depths = [shard.queue_depth for shard in shards]
-        loads = [shard.load for shard in shards]
-        planned = set()
-        for _ in range(self.max_moves):
-            hot = max(range(len(shards)), key=lambda i: (depths[i], -i))
-            cold = min(range(len(shards)), key=lambda i: (depths[i], i))
-            if hot == cold or not self._should_move(shards, hot, cold):
-                break
-            if loads[cold] >= shards[cold].capacity:
-                break
-            pending = {
-                sid: n
-                for sid, n in shards[hot].pending_counts.items()
-                if sid not in planned
-            }
-            if not pending:
-                break
-            # Deepest per-session queue first; session id breaks ties so
-            # the plan is deterministic across runs.
-            victim = max(pending, key=lambda sid: (pending[sid], sid))
-            planned.add(victim)
-            moves.append((victim, hot, cold))
-            depths[hot] -= pending[victim]
-            depths[cold] += pending[victim]
-            loads[hot] -= 1
-            loads[cold] += 1
-        return moves
-
-
 __all__ = [
     "PlacementPolicy",
     "LeastLoadedPlacement",
-    "RoundRobinPlacement",
     "ConsistentHashPlacement",
     "RebalancePolicy",
     "HotSpotRebalance",
-    "QueueDepthRebalance",
 ]

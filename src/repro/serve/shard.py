@@ -18,7 +18,7 @@ join (slot write) and once on leave/checkpoint (slot read:
 Checkpoint/migration surface (the cluster's rebalancing primitive):
 :meth:`checkpoint_session` / :meth:`restore_session` carry a
 session's full recurrent state as the versioned
-:meth:`~repro.dnc.numpy_ref.NumpyDNCState.to_bytes` byte string, and
+:meth:`~repro.dnc.state.NumpyDNCState.to_bytes` byte string, and
 :meth:`detach_session` / :meth:`attach_session` move a *live* session —
 state bytes plus its pending request FIFO — between shards without
 failing a single queued request.  Migration costs exactly one slot read
@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.engine import TiledEngine
-from repro.dnc.numpy_ref import NumpyDNCState
+from repro.dnc.state import NumpyDNCState
 from repro.errors import CapacityError, ConfigError
 from repro.obs import PHASES, PhaseTimer, Tracer
 from repro.serve.arena import StateArena
@@ -134,17 +134,6 @@ class EngineShard:
     def capacity(self) -> int:
         """Maximum resident sessions (the store's admission bound)."""
         return self.store.capacity
-
-    @property
-    def pending_counts(self):
-        """Queued requests per session — see
-        :meth:`MicroBatcher.pending_counts`."""
-        return self.batcher.pending_counts()
-
-    @property
-    def p95_wait(self) -> Optional[float]:
-        """p95 request wait in ticks (``None`` before any completion)."""
-        return self.metrics.wait_percentiles()[1]
 
     def session_ids(self) -> List[str]:
         """Resident session ids, least recently active first."""

@@ -3,7 +3,7 @@
 :class:`CheckpointSupervisor` is the front door's durable memory of every
 session served by a :class:`~repro.serve.proc.ProcCluster`: the last
 checkpoint each worker shipped (the versioned
-:meth:`~repro.dnc.numpy_ref.NumpyDNCState.to_bytes` payload plus the
+:meth:`~repro.dnc.state.NumpyDNCState.to_bytes` payload plus the
 step count it captures) and the *replay log* — every input submitted
 since that checkpoint, in per-session step order.  Together those two
 pieces reconstruct any session on a fresh worker process after a crash:

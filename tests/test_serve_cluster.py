@@ -14,14 +14,13 @@ import pytest
 
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
-from repro.dnc.numpy_ref import NumpyDNCState
+from repro.dnc.state import NumpyDNCState
 from repro.errors import CapacityError, ConfigError
 from repro.serve import (
     ConsistentHashPlacement,
     EngineShard,
     HotSpotRebalance,
     LeastLoadedPlacement,
-    RoundRobinPlacement,
     ServerMetrics,
     SessionServer,
     ShardedServer,
@@ -79,13 +78,6 @@ class TestPlacementPolicies:
         assert policy.place("x", shards) == 1
         shards = [_FakeShard(2), _FakeShard(2), _FakeShard(2)]
         assert policy.place("x", shards) == 0
-
-    def test_round_robin_cycles(self):
-        policy = RoundRobinPlacement()
-        shards = [_FakeShard(0)] * 3
-        assert [policy.place(f"s{i}", shards) for i in range(6)] == [
-            0, 1, 2, 0, 1, 2,
-        ]
 
     def test_consistent_hash_is_deterministic_across_instances(self):
         shards = [_FakeShard(0)] * 4

@@ -1,11 +1,12 @@
-"""Asyncio front door, admission spill, and queue-depth rebalancing.
+"""Asyncio front door, admission spill, and deep-queue migration.
 
 :class:`AsyncFrontend` must give awaitable per-request semantics over
 every topology (:class:`SessionServer`, :class:`ShardedServer`,
 :class:`ProcCluster`) with the same numerics as solo stepping, raise
 :class:`CapacityError` (not hang) on refusals, and never strand an
-awaiter at shutdown.  The satellite policies ride along: admission
-spill on the threaded cluster and :class:`QueueDepthRebalance` planning.
+awaiter at shutdown.  The cluster paths ride along: admission spill on
+the threaded cluster, and a session migrated with a deep request queue
+still matching solo stepping.
 """
 
 import asyncio
@@ -15,11 +16,11 @@ import pytest
 
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
-from repro.errors import CapacityError, ConfigError, ServeError
+from repro.errors import CapacityError, ServeError
 from repro.serve import (
     AsyncFrontend,
     ProcCluster,
-    QueueDepthRebalance,
+    RebalancePolicy,
     SessionServer,
     ShardedServer,
 )
@@ -52,115 +53,48 @@ class _PinnedPlacement:
         return 0
 
 
-class _FakeShard:
-    def __init__(self, queue_depth, load=1, capacity=8,
-                 pending_counts=None, p95_wait=None):
-        self.queue_depth = queue_depth
-        self.load = load
-        self.capacity = capacity
-        self.pending_counts = dict(pending_counts or {})
-        self.p95_wait = p95_wait
+class _MoveOnce(RebalancePolicy):
+    """Plans one fixed migration on its first call, then none; records
+    the source shard's queue depth when the move is planned."""
+
+    def __init__(self, move):
+        self.move = move
+        self.queued_at_move = None
+
+    def plan(self, shards):
+        if self.queued_at_move is not None:
+            return []
+        self.queued_at_move = shards[self.move[1]].queue_depth
+        return [self.move]
 
 
 # ---------------------------------------------------------------------------
-# QueueDepthRebalance planning
+# Migration of a deep queue
 # ---------------------------------------------------------------------------
-
-
-class TestQueueDepthRebalance:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            QueueDepthRebalance(max_spread=0)
-        with pytest.raises(ConfigError):
-            QueueDepthRebalance(max_p95_spread=0.0)
-        with pytest.raises(ConfigError):
-            QueueDepthRebalance(max_moves=0)
-
-    def test_no_move_inside_spread(self):
-        policy = QueueDepthRebalance(max_spread=8)
-        shards = [
-            _FakeShard(8, pending_counts={"a": 8}),
-            _FakeShard(0),
-        ]
-        assert policy.plan(shards) == []
-
-    def test_moves_busiest_session_to_shallowest_shard(self):
-        policy = QueueDepthRebalance(max_spread=4)
-        shards = [
-            _FakeShard(9, pending_counts={"a": 6, "b": 3}),
-            _FakeShard(1, pending_counts={"c": 1}),
-            _FakeShard(2, pending_counts={"d": 2}),
-        ]
-        assert policy.plan(shards) == [("a", 0, 1)]
-
-    def test_p95_trigger_fires_below_depth_spread(self):
-        # Depth spread 3 <= max_spread, but the hot shard's wait p95 is
-        # way above the cluster's best: still worth a move.
-        policy = QueueDepthRebalance(max_spread=8, max_p95_spread=2.0)
-        shards = [
-            _FakeShard(4, pending_counts={"a": 4}, p95_wait=9.0),
-            _FakeShard(1, pending_counts={"b": 1}, p95_wait=1.0),
-        ]
-        assert policy.plan(shards) == [("a", 0, 1)]
-
-    def test_p95_trigger_needs_positive_depth_spread(self):
-        policy = QueueDepthRebalance(max_spread=8, max_p95_spread=2.0)
-        shards = [
-            _FakeShard(2, pending_counts={"a": 2}, p95_wait=9.0),
-            _FakeShard(2, pending_counts={"b": 2}, p95_wait=1.0),
-        ]
-        assert policy.plan(shards) == []
-
-    def test_respects_destination_capacity(self):
-        policy = QueueDepthRebalance(max_spread=2)
-        shards = [
-            _FakeShard(9, pending_counts={"a": 9}),
-            _FakeShard(0, load=8, capacity=8),
-        ]
-        assert policy.plan(shards) == []
-
-    def test_max_moves_plans_distinct_victims(self):
-        # Shard 0 is deep enough to stay the hot shard even after the
-        # first simulated move, so both victims come off it — and the
-        # second move lands on the *new* shallowest shard.
-        policy = QueueDepthRebalance(max_spread=2, max_moves=2)
-        shards = [
-            _FakeShard(20, pending_counts={"a": 7, "b": 5}),
-            _FakeShard(0, pending_counts={}),
-            _FakeShard(1, pending_counts={"c": 1}),
-        ]
-        assert policy.plan(shards) == [("a", 0, 1), ("b", 0, 2)]
-
-    def test_ignores_shards_without_p95_signal(self):
-        policy = QueueDepthRebalance(max_spread=8, max_p95_spread=2.0)
-        shards = [
-            _FakeShard(4, pending_counts={"a": 4}, p95_wait=None),
-            _FakeShard(1, pending_counts={"b": 1}, p95_wait=1.0),
-        ]
-        assert policy.plan(shards) == []
 
 
 class TestClusterRebalanceIntegration:
     def test_deep_queue_migrates_and_results_stay_correct(self):
         config = serve_config()
         engines = [TiledEngine(config, rng=SEED) for _ in range(2)]
+        rebalance = _MoveOnce(("hot", 0, 1))
         server = ShardedServer(
             engines, max_batch=4, max_wait_ticks=0, parallel=False,
-            placement=_PinnedPlacement(),
-            rebalance=QueueDepthRebalance(max_spread=2, max_p95_spread=None),
+            placement=_PinnedPlacement(), rebalance=rebalance,
         )
         with server:
             hot = server.open_session("hot")
             cold = server.open_session("cold")
             assert server.shard_of(hot) == 0 and server.shard_of(cold) == 0
-            xs = [np.full(8, 0.1 * (t + 1)) for t in range(8)]
+            xs = [np.full(8, 0.1 * (t + 1)) for t in range(9)]
             hot_requests = [server.submit(hot, x) for x in xs]
             cold_request = server.submit(cold, xs[0])
             server.run_tick()
-            # The hot session owned nearly all the queued work: the
-            # queue-depth policy must have moved it off shard 0.
+            # The first tick served one request per session; the hot
+            # session left shard 0 with the other 8 still queued.
+            assert rebalance.queued_at_move == 8
             assert server.shard_of(hot) == 1
-            assert server.snapshot()["sessions_migrated"] >= 1
+            assert server.snapshot()["sessions_migrated"] == 1
             server.drain()
             solo = solo_trajectory(config, xs)
             for t, request in enumerate(hot_requests):

@@ -7,15 +7,19 @@ policies and across memory sizes; gathering changing subsets of a
 session population must never perturb non-members; and
 ``NumpyDNCState.from_bytes(state.to_bytes())`` — the cluster's
 session-migration wire format — must round-trip bitwise and
-dtype-preserving with a validated versioned header.
+dtype-preserving with a validated versioned header, and version 1 of
+that format is pinned byte for byte.
 """
+
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core.config import HiMAConfig
 from repro.core.engine import TiledEngine
-from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig, NumpyDNCState
+from repro.dnc.numpy_ref import NumpyDNC, NumpyDNCConfig
+from repro.dnc.state import NumpyDNCState
 from repro.errors import ConfigError
 
 
@@ -146,6 +150,44 @@ class TestStateBytesRoundTrip:
     def test_header_is_versioned(self):
         payload = self.make_model("float64").initial_state().to_bytes()
         assert payload.startswith(NumpyDNCState.BYTES_MAGIC)
+
+    #: ``make_model``'s field layout (N=8, W=4, R=2, H=12), written out
+    #: rather than read from ``FIELDS`` so a layout change fails here.
+    V1_LAYOUT = (
+        ("memory", [8, 4]), ("usage", [8]), ("precedence", [8]),
+        ("linkage", [8, 8]), ("write_w", [8]), ("read_w", [2, 8]),
+        ("read_vecs", [2, 4]), ("lstm_h", [12]), ("lstm_c", [12]),
+    )
+
+    @pytest.mark.parametrize("dtype,dtype_str,batch", [
+        ("float64", "<f8", None), ("float32", "<f4", 3),
+    ], ids=["unbatched-float64", "batched-float32"])
+    def test_version_1_payload_is_pinned_byte_for_byte(
+        self, dtype, dtype_str, batch, rng
+    ):
+        model = self.make_model(dtype)
+        if batch is None:
+            state = random_state(model, rng)
+        else:
+            state = NumpyDNCState.stack(
+                [random_state(model, rng) for _ in range(batch)]
+            )
+        lead = [] if batch is None else [batch]
+        header = ('{"fields": {' + ", ".join(
+            f'"{name}": ["{dtype_str}", {lead + shape}]'
+            for name, shape in self.V1_LAYOUT
+        ) + "}}").encode("utf-8")
+        expected = b"".join(
+            [b"HIMASTATE", struct.pack("<HI", 1, len(header)), header]
+            + [
+                np.ascontiguousarray(getattr(state, name)).tobytes(order="C")
+                for name, _ in self.V1_LAYOUT
+            ]
+        )
+        assert NumpyDNCState.BYTES_MAGIC == b"HIMASTATE"
+        assert NumpyDNCState.BYTES_VERSION == 1
+        assert state.to_bytes() == expected
+        assert states_equal_bitwise(NumpyDNCState.from_bytes(expected), state)
 
     def test_malformed_payloads_rejected(self, rng):
         state = random_state(self.make_model("float64"), rng)
